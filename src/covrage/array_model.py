@@ -54,15 +54,6 @@ class ArrayConfig:
         if self.frequency_hz <= 0.0:
             raise ConfigError("carrier frequency must be positive")
 
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency_hz
-
-    @property
-    def aperture_m(self) -> float:
-        """Physical side length along x in meters."""
-        return self.nx * self.spacing_wavelengths * self.wavelength_m
-
 
 @dataclass(frozen=True)
 class SteeringDirection:
@@ -80,9 +71,6 @@ class SteeringDirection:
     def from_uv(cls, p: UvPoint) -> "SteeringDirection":
         e = uv_to_euler(p)
         return cls(e.phi, e.theta)
-
-    def uv(self) -> tuple[float, float]:
-        return math.cos(self.theta) * math.sin(self.phi), math.sin(self.theta)
 
 
 class Awv:
@@ -146,21 +134,8 @@ class SubArrayLayout:
         """Effective element pitch inside one group, in wavelengths."""
         return self.stride * self.config.spacing_wavelengths
 
-    def f_i(self, x: int, y: int) -> int:
-        """Group owning full-array element (x, y)."""
-        return int(self.sub_index[x, y])
-
-    def f_c(self, x: int, y: int) -> tuple[int, int]:
-        """Local coordinates of full-array element (x, y) inside its group."""
-        return int(self.local_x[x, y]), int(self.local_y[x, y])
-
     def mask(self, k: int) -> np.ndarray:
         return self.sub_index == k
-
-
-def full_array_layout(cfg: ArrayConfig) -> SubArrayLayout:
-    """The trivial layout: the whole aperture as a single group."""
-    return partition_interleaved(cfg, 1)
 
 
 def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:

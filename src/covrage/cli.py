@@ -45,6 +45,14 @@ def _fmt(x: float) -> str:
     return format(value, ".10g")
 
 
+def _finite(text: str) -> float:
+    """JSON float hook: NaN, Infinity and overflowing literals are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def _write(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -73,7 +81,7 @@ def _opt_number(doc: dict, name: str, default: float | None, where: str = "") ->
 
 def _integer(doc: dict, name: str, default: int | None, where: str = "") -> int | None:
     value = doc.get(name, default)
-    if value is None:
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}{name} must be an integer")
@@ -162,7 +170,7 @@ _LINK_KEYS = (
 def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario, str | None]:
     """Build the scenario from a config file plus command-line overrides."""
     with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _expect(doc, _TOP_KEYS, "")
@@ -172,8 +180,8 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
         raise ConfigError("array must be an object")
     _expect(arr, _ARRAY_KEYS, "array.")
     array = ArrayConfig(
-        nx=_integer(arr, "nx", 32, "array.") or 32,
-        ny=_integer(arr, "ny", 32, "array.") or 32,
+        nx=_integer(arr, "nx", 32, "array."),
+        ny=_integer(arr, "ny", 32, "array."),
         spacing_wavelengths=_number(arr, "spacing_wavelengths", 0.25, "array."),
         frequency_hz=_number(arr, "frequency_hz", 60e9, "array."),
     )
@@ -208,7 +216,7 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
     else:
         no_sync = _boolean(doc, "no_sync", False)
         delayed = _boolean(doc, "delayed_first", False)
-    seed = _integer(doc, "seed", 0, "") or 0
+    seed = _integer(doc, "seed", 0, "")
     if args.seed is not None:
         seed = args.seed
 
@@ -223,7 +231,7 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
         no_sync=no_sync,
         delayed_first=delayed,
         seed=seed,
-        interleave=_integer(doc, "interleave", 4, "") or 4,
+        interleave=_integer(doc, "interleave", 4, ""),
         phase_bits=_integer(doc, "phase_bits", None, ""),
         mcs_table=mcs_table,
     )
@@ -335,10 +343,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, sc.mcs_table
     )
     lines = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
-    for k, point in enumerate(built.trajectory):
+    for k, (u, v) in enumerate(built.trajectory.uv.tolist()):
         entry = res.mcs[k]
         lines.append(
-            f"{k},{_fmt(point.u)},{_fmt(point.v)},{_fmt(res.gain_dbi[k])},"
+            f"{k},{_fmt(u)},{_fmt(v)},{_fmt(res.gain_dbi[k])},"
             f"{_fmt(res.noise_penalty_db[k])},{_fmt(res.rx_power_dbm[k])},"
             f"{entry.index},{_fmt(entry.datarate_mbps)}"
         )

@@ -96,9 +96,6 @@ class Quaternion:
             return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -129,30 +126,40 @@ class UvPoint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An ordered tuple of UV samples of the apparent AP path."""
+    """Ordered UV samples of the apparent AP path, one read-only ``(n, 2)`` array.
 
-    points: tuple[UvPoint, ...]
+    Row k is sample k as ``(u, v)``; indexing and iteration give UvPoints.
+    """
+
+    uv: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) < 1:
-            raise ValueError("trajectory needs at least one sample")
+        uv = np.array(self.uv, dtype=float)
+        if uv.ndim != 2 or uv.shape[1] != 2 or len(uv) == 0:
+            raise ValueError(f"trajectory needs one or more (u, v) rows, got shape {uv.shape}")
+        outside = np.nonzero(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] > 1.0 + 1e-12)[0]
+        if outside.size:
+            u, v = uv[outside[0]].tolist()
+            raise InvalidUvError(f"({u}, {v}) lies outside the unit disc and is not a direction")
+        uv.setflags(write=False)
+        object.__setattr__(self, "uv", uv)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.uv)
 
     def __iter__(self):
-        return iter(self.points)
+        return (UvPoint(u, v) for u, v in self.uv.tolist())
 
-    def __getitem__(self, i):
-        return self.points[i]
+    def __getitem__(self, i: int) -> UvPoint:
+        return UvPoint(*self.uv[i].tolist())
 
     def u_array(self) -> np.ndarray:
-        return np.array([p.u for p in self.points])
+        return self.uv[:, 0]
 
     def v_array(self) -> np.ndarray:
-        return np.array([p.v for p in self.points])
+        return self.uv[:, 1]
 
 
 def hamilton_product(q1: Quaternion, q2: Quaternion) -> Quaternion:
@@ -283,7 +290,7 @@ def sample_trajectory(q1: Quaternion, q2: Quaternion, ap_dir: UvPoint, n: int) -
     rot = apparent_ap_rotation(q1, q2)
     axis, angle = _axis_angle(rot)
     if angle < _UNIT_TOL:
-        return Trajectory((ap_dir,) * n)
+        return Trajectory(np.tile([ap_dir.u, ap_dir.v], (n, 1)))
     d0 = uv_to_direction(ap_dir)
     beta = np.linspace(0.0, 1.0, n) * angle
     cb = np.cos(beta)[:, None]
@@ -296,14 +303,9 @@ def sample_trajectory(q1: Quaternion, q2: Quaternion, ap_dir: UvPoint, n: int) -
         raise HemisphereError(
             f"trajectory sample {int(bad[0])} of {n} leaves the front hemisphere"
         )
-    points = tuple(UvPoint(float(dy), float(-dx)) for dx, dy in dirs[:, :2])
-    return Trajectory(points)
+    return Trajectory(np.column_stack([dirs[:, 1], -dirs[:, 0]]))
 
 
 def trajectory_length(t: Trajectory) -> float:
     """Cumulative Euclidean length of the sampled path in UV space."""
-    if len(t) < 2:
-        return 0.0
-    u = t.u_array()
-    v = t.v_array()
-    return float(np.hypot(np.diff(u), np.diff(v)).sum())
+    return float(np.hypot(*np.diff(t.uv, axis=0).T).sum())

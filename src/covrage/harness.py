@@ -87,6 +87,10 @@ class Scenario:
             raise ConfigError("n_samples must be at least 2")
         if self.phase_bits is not None and self.phase_bits < 1:
             raise ConfigError("phase_bits must be at least 1")
+        if self.interleave < 1:
+            raise ConfigError("interleave must be a positive square")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -111,23 +115,21 @@ def scenario_trajectory(sc: Scenario) -> Trajectory:
 
 
 def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
-    pts = np.column_stack([traj.u_array(), traj.v_array()])
     if sc.strategy == "baseline-start":
         return traj[0]
     if sc.strategy == "baseline-edge":
         width = beamwidth_uv(min(sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths)
-        dist = np.hypot(pts[:, 0] - pts[0, 0], pts[:, 1] - pts[0, 1])
+        dist = np.hypot(*(traj.uv - traj.uv[0]).T)
         inside = np.nonzero(dist <= width / 2.0 + 1e-12)[0]
         return traj[int(inside[-1])]
     # halfway along the path by arc length, nearest sample
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    seg = np.hypot(*np.diff(traj.uv, axis=0).T)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     return traj[int(np.argmin(np.abs(cum - cum[-1] / 2.0)))]
 
 
 def build_beam(sc: Scenario) -> BeamBuild:
     """Construct the weight vector a scenario's strategy calls for."""
-    traj = scenario_trajectory(sc)
     plan = None
     if sc.strategy == "covrage":
         override = None
@@ -140,11 +142,13 @@ def build_beam(sc: Scenario) -> BeamBuild:
             sc.ap_direction,
             sc.array,
             interleave=sc.interleave,
-            n_samples=len(traj),
+            n_samples=sc.n_samples,
             delayed_first=sc.delayed_first,
             sync_override=override,
         )
+        traj = plan.trajectory
     else:
+        traj = scenario_trajectory(sc)
         direction = SteeringDirection.from_uv(_baseline_target(sc, traj))
         awv = steering_weights(
             (sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, direction

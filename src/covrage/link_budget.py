@@ -1,4 +1,4 @@
-"""Link budget: log-distance path loss, received power, MCS selection.
+"""Link budget: log-distance path loss and MCS selection.
 
 The default profile is a 60 GHz indoor line-of-sight link: loss at the 1 m
 reference distance is pinned to 68 dB (the free-space value at 60 GHz rounds
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .array_model import SPEED_OF_LIGHT, Awv, SteeringDirection, directional_gain, peak_gain
+from .array_model import SPEED_OF_LIGHT
 from .errors import ConfigError
 
 MCS_TABLE_RESOURCE = "data/mcs_80211ad.csv"
@@ -66,12 +66,6 @@ def path_loss(distance_m: float, params: LinkParams) -> float:
     else:
         ref = params.reference_loss_db
     return ref + 10.0 * params.path_loss_exponent * math.log10(distance_m / params.reference_distance_m)
-
-
-def received_power(params: LinkParams, g_r_dbi: float, distance_m: float | None = None) -> float:
-    """Received level in dBm: transmit EIRP minus loss plus receive gain."""
-    d = params.distance_m if distance_m is None else distance_m
-    return params.eirp_dbm - path_loss(d, params) + g_r_dbi
 
 
 @dataclass(frozen=True)
@@ -157,20 +151,3 @@ def select_mcs(level_db: float, table: tuple[McsEntry, ...]) -> McsEntry:
         if entry.sensitivity_dbm <= level_db:
             best = entry
     return best if best is not None else LINK_LOST
-
-
-def noise_penalty(
-    awv: Awv,
-    aoa: SteeringDirection,
-    spacing_wl: float,
-    resolution: int = 512,
-) -> float:
-    """How far the pattern's global maximum sits above the gain at the AoA.
-
-    An isotropic-noise receiver picks up noise best wherever the pattern peaks,
-    so this difference is the SNR give-away of pointing gain elsewhere. Found
-    by a hemisphere grid search with local refinement; non-negative whenever
-    the AoA is inside the hemisphere.
-    """
-    g_max, _ = peak_gain(awv, spacing_wl, resolution)
-    return g_max - directional_gain(awv, aoa.phi, aoa.theta, spacing_wl)

@@ -132,13 +132,6 @@ class CoverResult(NamedTuple):
     extrapolated: bool
 
 
-def required_subbeams(path_length: float, beam_width: float) -> int:
-    """Beams needed to cover a path: one extra half-width pads the start."""
-    if path_length < 0.0 or beam_width <= 0.0:
-        raise ValueError("need a non-negative length and positive width")
-    return math.ceil((path_length + 0.5 * beam_width) / beam_width)
-
-
 def subdivision_level(path_length: float, beam_width: float, n_groups: int) -> int:
     """Smallest quadrant-split depth whose beam budget covers the path.
 
@@ -179,13 +172,13 @@ def allocate_sub_arrays(n_beams: int, n_groups: int) -> tuple[tuple[int, ...], .
 
 
 def cover_points(
-    points,
+    trajectory: Trajectory,
     half_width: float,
     *,
     delayed_first: bool = False,
     extrapolation_cap_factor: int = EXTRAPOLATION_CAP_FACTOR,
 ) -> CoverResult:
-    """Place beam centers so every sample lies within half_width of one.
+    """Place beam centers so every trajectory sample lies within half_width of one.
 
     Walks the samples in order. The first beam sits on the first sample (or,
     with delayed_first, on the farthest sample still covering it). When a
@@ -201,15 +194,13 @@ def cover_points(
     the unit disc, or extrapolation_cap_factor times the sample count,
     whichever comes first.
     """
-    pts = [(float(p.u), float(p.v)) for p in points]
+    pts = trajectory.uv.tolist()
     n = len(pts)
-    if n == 0:
-        raise ValueError("cannot cover an empty trajectory")
     if half_width <= 0.0:
         raise ValueError("half_width must be positive")
     h2 = (half_width + COVERAGE_SLACK) ** 2
 
-    def near(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    def near(a: Sequence[float], b: Sequence[float]) -> bool:
         dx = a[0] - b[0]
         dy = a[1] - b[1]
         return dx * dx + dy * dy <= h2
@@ -227,7 +218,7 @@ def cover_points(
                 start = j
                 break
     centers = [pts[start]]
-    overlaps: list[tuple[float, float]] = []
+    overlaps: list[Sequence[float]] = []
     extrapolated = False
 
     if n >= 2:
@@ -253,8 +244,8 @@ def cover_points(
             # The anchor went stale behind an older beam; the immediate
             # predecessor is always covered and always within spacing of p.
             anchor = pts[i - 1]
-        pending: list[tuple[float, float]] = []
-        lock: tuple[float, float] | None = None
+        pending: list[Sequence[float]] = []
+        lock: Sequence[float] | None = None
         lock_is_extension = False
         consumed = i
         j = i
@@ -326,6 +317,12 @@ def phase_sync(
     return tuple(shifts), tuple(skipped)
 
 
+def _group_width(cfg: ArrayConfig, interleave: int) -> float:
+    """Beam width of one interleaved group before any quadrant split."""
+    m = math.isqrt(interleave)
+    return beamwidth_uv(min(cfg.nx, cfg.ny) // m, m * cfg.spacing_wavelengths)
+
+
 def plan_trajectory(
     q1: Quaternion,
     q2: Quaternion,
@@ -339,8 +336,7 @@ def plan_trajectory(
     if a tenth of the resulting beam width needs finer spacing, the path is
     resampled at that density.
     """
-    m = math.isqrt(interleave)
-    width = beamwidth_uv(min(cfg.nx, cfg.ny) // m, m * cfg.spacing_wavelengths)
+    width = _group_width(cfg, interleave)
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
     length = trajectory_length(probe)
     s = subdivision_level(length, width, interleave)
@@ -377,12 +373,10 @@ def covrage_plan(
     beam count); the first shift is then taken from the override as well.
     """
     base = partition_interleaved(cfg, interleave)
-    base_width = beamwidth_uv(min(base.side_x, base.side_y), base.spacing_wl)
+    base_width = _group_width(cfg, interleave)
     if n_samples is None:
         traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave)
     else:
-        if n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
         traj = sample_trajectory(q1, q2, ap_dir, n_samples)
     length = trajectory_length(traj)
     s = subdivision_level(length, base_width, interleave)

@@ -20,7 +20,6 @@ from covrage.array_model import (
     compose_full_awv,
     directional_gain,
     element_phase_delta,
-    full_array_layout,
     origin_phase_correction,
     partition_interleaved,
     partition_localized,
@@ -203,9 +202,9 @@ def test_interleaved_partition_example():
     assert (layout.side_x, layout.side_y) == (16, 16)
     assert layout.spacing_wl == pytest.approx(0.5)
     # Element (3, 5): offsets (3 mod 2, 5 mod 2) = (1, 1) own it, locally (1, 2).
-    k = layout.f_i(3, 5)
+    k = layout.sub_index[3, 5]
     assert tuple(layout.origins[k]) == (1, 1)
-    assert layout.f_c(3, 5) == (1, 2)
+    assert (layout.local_x[3, 5], layout.local_y[3, 5]) == (1, 2)
 
 
 def test_interleaved_partition_enumeration_oracle():
@@ -214,12 +213,12 @@ def test_interleaved_partition_enumeration_oracle():
     m = 2
     for x in range(cfg.nx):
         for y in range(cfg.ny):
-            k = layout.f_i(x, y)
+            k = layout.sub_index[x, y]
             ox, oy = layout.origins[k]
             assert (ox, oy) == (x % m, y % m)
-            assert layout.f_c(x, y) == (x // m, y // m)
+            assert (layout.local_x[x, y], layout.local_y[x, y]) == (x // m, y // m)
             # Origin element plus stride times local coords recovers (x, y).
-            lx, ly = layout.f_c(x, y)
+            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
             assert (ox + m * lx, oy + m * ly) == (x, y)
 
 
@@ -236,12 +235,10 @@ def test_interleaved_masks_partition_the_lattice():
 def test_interleaved_identity():
     layout = partition_interleaved(ArrayConfig(), 1)
     assert layout.n_sub == 1
-    assert layout.f_i(17, 4) == 0
-    assert layout.f_c(17, 4) == (17, 4)
+    assert layout.sub_index[17, 4] == 0
+    assert (layout.local_x[17, 4], layout.local_y[17, 4]) == (17, 4)
     assert layout.stride == 1
-    full = full_array_layout(ArrayConfig())
-    assert full.n_sub == 1
-    assert (full.side_x, full.side_y) == (32, 32)
+    assert (layout.side_x, layout.side_y) == (32, 32)
 
 
 def test_interleaved_partition_errors():
@@ -254,22 +251,22 @@ def test_interleaved_partition_errors():
 
 
 def test_localized_partition_quadrants():
-    base = full_array_layout(ArrayConfig(nx=16, ny=16))
+    base = partition_interleaved(ArrayConfig(nx=16, ny=16), 1)
     split = partition_localized(base)
     assert split.n_sub == 4
     assert (split.side_x, split.side_y) == (8, 8)
     assert split.stride == base.stride
     assert split.subdivisions == 1
     # Element (12, 3) sits in the +x/-y quadrant: local (4, 3).
-    k = split.f_i(12, 3)
+    k = split.sub_index[12, 3]
     assert tuple(split.origins[k]) == (8, 0)
-    assert split.f_c(12, 3) == (4, 3)
+    assert (split.local_x[12, 3], split.local_y[12, 3]) == (4, 3)
     for x in range(16):
         for y in range(16):
             qx, qy = x // 8, y // 8
-            k = split.f_i(x, y)
+            k = split.sub_index[x, y]
             assert tuple(split.origins[k]) == (8 * qx, 8 * qy)
-            assert split.f_c(x, y) == (x % 8, y % 8)
+            assert (split.local_x[x, y], split.local_y[x, y]) == (x % 8, y % 8)
 
 
 def test_localized_refines_interleaved():
@@ -292,12 +289,12 @@ def test_localized_refines_interleaved():
 
 def test_localized_partition_errors():
     # 6 halves to 3 once; a second split cannot halve a 3-wide group.
-    once = partition_localized(full_array_layout(ArrayConfig(nx=6, ny=6)))
+    once = partition_localized(partition_interleaved(ArrayConfig(nx=6, ny=6), 1))
     assert (once.side_x, once.side_y) == (3, 3)
     with pytest.raises(ConfigError):
         partition_localized(once)
     with pytest.raises(ConfigError):
-        partition_localized(full_array_layout(ArrayConfig()), factor=9)
+        partition_localized(partition_interleaved(ArrayConfig(), 1), factor=9)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +309,8 @@ def test_compose_full_awv_scatter_oracle():
     full = compose_full_awv(subs, shifts, layout)
     for x in range(0, 32, 5):
         for y in range(0, 32, 7):
-            k = layout.f_i(x, y)
-            lx, ly = layout.f_c(x, y)
+            k = layout.sub_index[x, y]
+            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
             assert full.weights[x, y] == pytest.approx(shifts[k] * subs[k].weights[lx, ly], abs=1e-12)
 
 

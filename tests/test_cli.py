@@ -201,6 +201,18 @@ def test_compare_six_rows_covrage_wins(tmp_path, capsys):
         ({"ap_direction_uv": [0.9, 0.9]}, "ap direction"),
         ({"n_samples": 1}, "n_samples"),
         ({"banana": 1}, "banana"),
+        ({"array": {"nx": 0}}, "array dimensions"),
+        ({"array": {"ny": 0}}, "array dimensions"),
+        ({"array": {"nx": None}}, "array.nx"),
+        ({"interleave": 0}, "interleave"),
+        ({"interleave": -4}, "interleave"),
+        ({"interleave": None}, "interleave"),
+        ({"seed": -1}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"link": {"eirp_dbm": float("nan")}}, "NaN"),
+        ({"link": {"distance_m": float("inf")}}, "Infinity"),
+        ({"ap_direction_uv": [float("nan"), 0.0]}, "NaN"),
+        ({"orientation_end": [float("-inf"), 0.0, 0.0, 0.0]}, "-Infinity"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
@@ -208,7 +220,21 @@ def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
     assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert err.count("\n") == 1
     assert needle in err
+
+
+def test_overflowing_number_is_not_infinity(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"link": {"eirp_dbm": 1e999}}')
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert "non-finite number 1e999" in capsys.readouterr().err
+
+
+def test_seed_override_must_be_non_negative(tmp_path, capsys):
+    cfg = write_config(tmp_path, MOVING)
+    assert run("compare", "--config", cfg, "--out-dir", tmp_path / "out", "--seed", "-1") == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_invalid_json_exits_two(tmp_path, capsys):

@@ -341,24 +341,30 @@ def test_sample_trajectory_needs_two_samples():
 
 
 def test_trajectory_length_basics():
-    assert trajectory_length(Trajectory((UvPoint(0.1, 0.2),))) == 0.0
-    two = Trajectory((UvPoint(0.0, 0.0), UvPoint(0.3, 0.0)))
+    assert trajectory_length(Trajectory([[0.1, 0.2]])) == 0.0
+    two = Trajectory([[0.0, 0.0], [0.3, 0.0]])
     assert trajectory_length(two) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_trajectory_length_quarter_circle():
     ts = np.linspace(0.0, math.pi / 2.0, 2001)
-    pts = Trajectory(tuple(UvPoint(0.4 * math.cos(t), 0.4 * math.sin(t)) for t in ts))
+    pts = Trajectory(np.column_stack([0.4 * np.cos(ts), 0.4 * np.sin(ts)]))
     assert trajectory_length(pts) == pytest.approx(math.pi * 0.4 / 2.0, abs=1e-3)
 
 
 def test_trajectory_container_protocol():
     pts = (UvPoint(0.0, 0.0), UvPoint(0.1, 0.0), UvPoint(0.2, 0.0))
-    traj = Trajectory(pts)
+    traj = Trajectory([(p.u, p.v) for p in pts])
     assert len(traj) == 3
     assert traj[1] == pts[1]
     assert tuple(traj) == pts
+    assert traj.uv.shape == (3, 2)
+    assert not traj.uv.flags.writeable
     np.testing.assert_allclose(traj.u_array(), [0.0, 0.1, 0.2])
     np.testing.assert_allclose(traj.v_array(), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         Trajectory(())
+    with pytest.raises(ValueError):
+        Trajectory([0.1, 0.2, 0.3])
+    with pytest.raises(InvalidUvError):
+        Trajectory([[0.0, 0.0], [0.9, 0.9]])

@@ -1,4 +1,8 @@
-"""Path loss, rate selection, and noise penalty checks."""
+"""Path loss, rate selection, received power and noise penalty checks.
+
+Received power and noise penalty are read off ``sweep_trajectory``, the one
+place the program computes them.
+"""
 
 import io
 import math
@@ -9,7 +13,8 @@ from hypothesis import given, strategies as st
 
 from covrage.array_model import Awv, SteeringDirection, beamwidth_uv, steering_weights
 from covrage.errors import ConfigError
-from covrage.geometry import UvPoint
+from covrage.geometry import Trajectory, UvPoint
+from covrage.harness import sweep_trajectory
 from covrage.link_budget import (
     LINK_LOST,
     LinkParams,
@@ -17,11 +22,20 @@ from covrage.link_budget import (
     default_mcs_table,
     friis_reference_loss,
     load_mcs_table,
-    noise_penalty,
     path_loss,
-    received_power,
     select_mcs,
 )
+
+# A single element receives with 0 dBi in every direction.
+ISOTROPIC = Awv(np.ones((1, 1)))
+
+
+def swept(awv, points, params=LinkParams(), spacing_wl=0.5, peak_resolution=512):
+    """Sweep ``awv`` over sine-space (u, v) points."""
+    return sweep_trajectory(
+        awv, Trajectory(points), params, spacing_wl, peak_resolution=peak_resolution
+    )
+
 
 # ---------------------------------------------------------------------------
 # Path loss
@@ -67,20 +81,26 @@ def test_path_loss_monotone(d1, d2):
 
 
 def test_received_power_examples():
-    assert received_power(LinkParams(eirp_dbm=30.0, distance_m=1.0), 0.0) == pytest.approx(-38.0)
-    got = received_power(LinkParams(eirp_dbm=30.0, distance_m=2.0), 48.16)
-    assert got == pytest.approx(4.14, abs=0.005)
+    res = swept(ISOTROPIC, [[0.3, 0.1]], LinkParams(eirp_dbm=30.0, distance_m=1.0), peak_resolution=16)
+    assert res.rx_power_dbm[0] == pytest.approx(-38.0)
+    # 16x16 broadside coherent gain is 20 log10(256) = 48.16 dBi.
+    broadside = steering_weights((16, 16), 0.5, SteeringDirection(0.0, 0.0))
+    res = swept(broadside, [[0.0, 0.0]], LinkParams(eirp_dbm=30.0, distance_m=2.0))
+    assert res.rx_power_dbm[0] == pytest.approx(4.14, abs=0.005)
 
 
 def test_received_power_gain_linearity():
     params = LinkParams(eirp_dbm=20.0, distance_m=3.0)
-    base = received_power(params, 10.0)
-    assert received_power(params, 13.0) == pytest.approx(base + 3.0, abs=1e-12)
+    awv = steering_weights((16, 16), 0.5, SteeringDirection(0.0, 0.0))
+    res = swept(awv, [[0.0, 0.0], [0.03, 0.0], [0.06, 0.02]], params)
+    offset = res.rx_power_dbm - res.gain_dbi
+    assert np.ptp(offset) == pytest.approx(0.0, abs=1e-12)
+    assert offset[0] == pytest.approx(20.0 - path_loss(3.0, params), abs=1e-12)
 
 
-def test_received_power_distance_override():
-    params = LinkParams(eirp_dbm=30.0, distance_m=1.0)
-    assert received_power(params, 0.0, distance_m=10.0) == pytest.approx(30.0 - 88.0)
+def test_received_power_follows_link_distance():
+    res = swept(ISOTROPIC, [[0.0, 0.0]], LinkParams(eirp_dbm=30.0, distance_m=10.0), peak_resolution=16)
+    assert res.rx_power_dbm[0] == pytest.approx(30.0 - 88.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +191,21 @@ def test_load_mcs_table_from_path(tmp_path):
 
 
 def test_noise_penalty_zero_at_own_peak():
-    d = SteeringDirection.from_uv(UvPoint(0.2, 0.15))
-    awv = steering_weights((16, 16), 0.5, d)
-    assert noise_penalty(awv, d, 0.5) == pytest.approx(0.0, abs=0.02)
+    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.2, 0.15)))
+    assert swept(awv, [[0.2, 0.15]]).noise_penalty_db[0] == pytest.approx(0.0, abs=0.02)
 
 
 def test_noise_penalty_three_db_at_half_width():
-    d0 = SteeringDirection.from_uv(UvPoint(0.0, 0.0))
-    awv = steering_weights((16, 16), 0.5, d0)
-    off = SteeringDirection.from_uv(UvPoint(beamwidth_uv(16, 0.5) / 2.0, 0.0))
-    assert noise_penalty(awv, off, 0.5) == pytest.approx(3.0, abs=0.35)
+    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    off = [[beamwidth_uv(16, 0.5) / 2.0, 0.0]]
+    assert swept(awv, off).noise_penalty_db[0] == pytest.approx(3.0, abs=0.35)
 
 
 def test_noise_penalty_global_phase_invariant():
-    d = SteeringDirection.from_uv(UvPoint(0.1, -0.2))
-    awv = steering_weights((16, 16), 0.5, d)
+    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.1, -0.2)))
     rotated = Awv(awv.weights * np.exp(0.7j))
-    aoa = SteeringDirection.from_uv(UvPoint(0.3, 0.1))
-    a = noise_penalty(awv, aoa, 0.5)
-    b = noise_penalty(rotated, aoa, 0.5)
+    a = swept(awv, [[0.3, 0.1]]).noise_penalty_db[0]
+    b = swept(rotated, [[0.3, 0.1]]).noise_penalty_db[0]
     assert a == pytest.approx(b, abs=1e-9)
     assert a >= 0.0
 

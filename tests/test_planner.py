@@ -28,7 +28,6 @@ from covrage.planner import (
     covrage_plan,
     phase_sync,
     plan_trajectory,
-    required_subbeams,
     subdivision_level,
 )
 
@@ -51,25 +50,17 @@ def line_cover_indices(n: int, r: int, delayed: bool = False) -> tuple[list[int]
     return centers, overlaps, centers[-1] > n - 1
 
 
-def line_points(n: int, length: float) -> list[UvPoint]:
-    return [UvPoint(length * k / (n - 1), 0.0) for k in range(n)]
+def line_points(n: int, length: float) -> Trajectory:
+    return Trajectory([(length * k / (n - 1), 0.0) for k in range(n)])
+
+
+def beams_needed(path_length: float, beam_width: float) -> int:
+    """Beams covering a straight path: one extra half-width pads the start."""
+    return math.ceil((path_length + 0.5 * beam_width) / beam_width)
 
 
 # ---------------------------------------------------------------------------
 # Beam counts and split depth
-
-
-def test_required_subbeams_examples():
-    assert required_subbeams(0.3, 0.1108) == 4
-    assert required_subbeams(0.39, W16) == 5
-    assert required_subbeams(0.0, W16) == 1
-
-
-def test_required_subbeams_validation():
-    with pytest.raises(ValueError):
-        required_subbeams(-0.1, W16)
-    with pytest.raises(ValueError):
-        required_subbeams(0.3, 0.0)
 
 
 def test_subdivision_level_examples():
@@ -88,9 +79,9 @@ def test_subdivision_level_boundary():
 def test_subdivision_capacity_is_sufficient(length):
     s = subdivision_level(length, W16, 4)
     width = W16 * 2.0**s
-    assert required_subbeams(length, width) <= 4 * 4.0**s
+    assert beams_needed(length, width) <= 4 * 4.0**s
     if s > 0:
-        assert required_subbeams(length, W16 * 2.0 ** (s - 1)) > 4 * 4.0 ** (s - 1)
+        assert beams_needed(length, W16 * 2.0 ** (s - 1)) > 4 * 4.0 ** (s - 1)
 
 
 def test_allocate_four_group_table():
@@ -119,7 +110,7 @@ def test_allocate_validation():
 
 
 def test_cover_single_point():
-    res = cover_points([UvPoint(0.1, 0.2)], 0.05)
+    res = cover_points(Trajectory([[0.1, 0.2]]), 0.05)
     assert res.centers == (UvPoint(0.1, 0.2),)
     assert res.overlaps == ()
     assert not res.extrapolated
@@ -216,22 +207,22 @@ def test_cover_tail_extension_covers_all_original_points():
 
 
 def test_cover_spacing_precondition():
-    pts = [UvPoint(0.0, 0.0), UvPoint(0.2, 0.0), UvPoint(0.4, 0.0)]
+    pts = Trajectory([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]])
     with pytest.raises(ValueError, match="spacing"):
         cover_points(pts, 0.05)
 
 
 def test_cover_empty_and_bad_width():
     with pytest.raises(ValueError):
-        cover_points([], 0.05)
+        cover_points(Trajectory([]), 0.05)
     with pytest.raises(ValueError):
-        cover_points([UvPoint(0.0, 0.0)], 0.0)
+        cover_points(Trajectory([[0.0, 0.0]]), 0.0)
 
 
 def test_cover_extension_stops_at_unit_disc():
     # Straight run toward the rim: extension may not place centers outside it.
     n = 120
-    pts = [UvPoint(0.70 + 0.28 * k / (n - 1), 0.0) for k in range(n)]
+    pts = Trajectory([(0.70 + 0.28 * k / (n - 1), 0.0) for k in range(n)])
     res = cover_points(pts, 0.012)
     for c in res.centers:
         assert c.u * c.u + c.v * c.v <= 1.0 + 1e-9
@@ -246,12 +237,13 @@ def test_cover_random_arcs_every_sample_covered(seed):
     heading = rng.uniform(0.0, 2.0 * math.pi)
     turn = rng.uniform(-0.02, 0.02)
     step = rng.uniform(0.001, 0.004)
-    pts = []
+    rows = []
     for _ in range(rng.integers(2, 150)):
-        pts.append(UvPoint(x, y))
+        rows.append((x, y))
         heading += turn
         x += step * math.cos(heading)
         y += step * math.sin(heading)
+    pts = Trajectory(rows)
     half = rng.uniform(0.02, 0.08)
     res = cover_points(pts, half)
     for p in pts:
@@ -412,8 +404,8 @@ def test_covrage_plan_composition_scatter_oracle():
     expected = np.empty((cfg.nx, cfg.ny), dtype=complex)
     for x in range(cfg.nx):
         for y in range(cfg.ny):
-            g = layout.f_i(x, y)
-            lx, ly = layout.f_c(x, y)
+            g = layout.sub_index[x, y]
+            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
             expected[x, y] = group_shift[g] * group_beam[g].awv.weights[lx, ly]
     np.testing.assert_allclose(awv.weights, expected, atol=1e-12)
 
@@ -471,7 +463,7 @@ def test_covrage_plan_rejects_tiny_sample_count():
 def test_beam_plan_validation():
     cfg = ArrayConfig()
     layout = partition_interleaved(cfg, 4)
-    traj = Trajectory((UvPoint(0.0, 0.0),))
+    traj = Trajectory([[0.0, 0.0]])
     params = CoverageParams(width=W16, interleaved=4, subdivisions=0)
     with pytest.raises(ValueError):
         BeamPlan(
