@@ -29,8 +29,8 @@ from .geometry import UvPoint, uv_to_euler
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Floor applied by directional_gain: far below anything a plot would show, but
-# finite so downstream arithmetic stays total.
+# Floor under sweep and gain-map gains: far below anything a plot would show,
+# but finite so downstream arithmetic stays total.
 GAIN_FLOOR_DBI = -40.0
 
 # Half-power width of a uniform aperture, as a fraction of wavelength/aperture.
@@ -246,22 +246,6 @@ def array_coefficient(
     if mask is not None:
         term = term[mask]
     return complex(term.sum())
-
-
-def directional_gain(
-    awv: Awv,
-    phi: float,
-    theta: float,
-    spacing_wl: float,
-    mask: np.ndarray | None = None,
-    floor_dbi: float = GAIN_FLOOR_DBI,
-) -> float:
-    """Array gain toward (phi, theta) in dBi, floored at ``floor_dbi``."""
-    c = array_coefficient(awv, phi, theta, spacing_wl, mask)
-    p = (c.real * c.real + c.imag * c.imag)
-    if p <= 0.0:
-        return floor_dbi
-    return max(10.0 * math.log10(p), floor_dbi)
 
 
 def beamwidth_uv(n_side: int, spacing_wl: float) -> float:

@@ -12,6 +12,7 @@ trajectory leaving the front hemisphere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .array_model import ArrayConfig
-from .errors import ConfigError, CovrageError, HemisphereError, InvalidUvError
+from .errors import ConfigError, CovrageError
 from .geometry import EulerAngles, Quaternion, UvPoint, euler_to_quat, euler_to_uv, trajectory_length
 from .harness import (
     DISPLAY_CLAMP_DBI,
@@ -58,41 +59,53 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _expect(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+# Scenario fields whose config keys differ from the field name. The manifest
+# echoes the first key; a second key gives the same value in degrees.
+_SPELLED = {
+    "orientation_start": ("orientation_start", "orientation_start_euler_deg"),
+    "orientation_end": ("orientation_end", "orientation_end_euler_deg"),
+    "ap_direction": ("ap_direction_uv", "ap_direction_deg"),
+    "mcs_table": ("mcs_table_path",),
+}
+# Scalar field annotations: the JSON values each accepts and the error wording.
+# Annotations are strings, as the dataclass modules postpone their evaluation.
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def _scalars(doc: object, cls: type, where: str = "") -> dict:
+    """Checked values of the scalar ``cls`` fields that ``doc`` sets.
+
+    ``doc`` may hold only keys named after ``cls``'s fields (or their
+    ``_SPELLED`` keys). Each scalar value must match its field's annotation;
+    ``null`` is accepted only where that annotation is ``X | None``. Fields
+    ``doc`` leaves out are left out here, so they take the dataclass default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config root'} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    allowed = {key for f in fields for key in _SPELLED.get(f.name, (f.name,))}
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown config field: {where}{key}")
-
-
-def _number(doc: dict, name: str, default: float, where: str = "") -> float:
-    value = doc.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}{name} must be a number")
-    return float(value)
-
-
-def _opt_number(doc: dict, name: str, default: float | None, where: str = "") -> float | None:
-    if name in doc and doc[name] is None:
-        return None
-    if name not in doc:
-        return default
-    return _number(doc, name, 0.0, where)
-
-
-def _integer(doc: dict, name: str, default: int | None, where: str = "") -> int | None:
-    value = doc.get(name, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}{name} must be an integer")
-    return value
-
-
-def _boolean(doc: dict, name: str, default: bool) -> bool:
-    value = doc.get(name, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false")
-    return value
+    values = {}
+    for f in fields:
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _KINDS or f.name not in doc:
+            continue
+        value = doc[f.name]
+        if value is None and optional == "None":
+            values[f.name] = None
+            continue
+        types, wording = _KINDS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{where}{f.name} must be {wording}")
+        values[f.name] = float(value) if kind == "float" else value
+    return values
 
 
 def _vector(doc: dict, name: str, length: int) -> list[float] | None:
@@ -107,168 +120,68 @@ def _vector(doc: dict, name: str, length: int) -> list[float] | None:
     return [float(x) for x in value]
 
 
-def _orientation(doc: dict, stem: str) -> Quaternion:
-    quat = _vector(doc, stem, 4)
-    euler = _vector(doc, stem + "_euler_deg", 3)
-    if quat is not None and euler is not None:
-        raise ConfigError(f"give {stem} either as a quaternion or as Euler degrees, not both")
+def _direction(doc: dict, name: str) -> Quaternion | UvPoint | None:
+    """An orientation or the AP direction from whichever of its two keys is set."""
+    key, deg_key = _SPELLED[name]
+    quat = name != "ap_direction"
+    plain = _vector(doc, key, 4 if quat else 2)
+    deg = _vector(doc, deg_key, 3 if quat else 2)
+    if plain is not None and deg is not None:
+        raise ConfigError(f"give {key} or {deg_key}, not both")
     try:
-        if quat is not None:
-            return Quaternion(*quat)
-        if euler is not None:
-            return euler_to_quat(EulerAngles(*(math.radians(a) for a in euler)))
-    except ValueError as exc:
-        raise ConfigError(f"{stem}: {exc}") from None
-    return Quaternion.identity()
-
-
-def _ap_direction(doc: dict) -> UvPoint:
-    uv = _vector(doc, "ap_direction_uv", 2)
-    deg = _vector(doc, "ap_direction_deg", 2)
-    if uv is not None and deg is not None:
-        raise ConfigError("give the AP direction in UV or in degrees, not both")
-    try:
-        if uv is not None:
-            return UvPoint(uv[0], uv[1])
+        if plain is not None:
+            return Quaternion(*plain) if quat else UvPoint(*plain)
         if deg is not None:
-            return euler_to_uv(EulerAngles(math.radians(deg[0]), math.radians(deg[1])))
-    except (InvalidUvError, HemisphereError, ValueError) as exc:
-        raise ConfigError(f"ap direction: {exc}") from None
-    return UvPoint(0.0, 0.0)
-
-
-_TOP_KEYS = (
-    "array",
-    "link",
-    "orientation_start",
-    "orientation_start_euler_deg",
-    "orientation_end",
-    "orientation_end_euler_deg",
-    "ap_direction_uv",
-    "ap_direction_deg",
-    "n_samples",
-    "strategy",
-    "no_sync",
-    "delayed_first",
-    "seed",
-    "interleave",
-    "phase_bits",
-    "mcs_table_path",
-)
-_ARRAY_KEYS = ("nx", "ny", "spacing_wavelengths", "frequency_hz")
-_LINK_KEYS = (
-    "eirp_dbm",
-    "distance_m",
-    "frequency_hz",
-    "path_loss_exponent",
-    "reference_distance_m",
-    "reference_loss_db",
-    "noise_floor_dbm",
-)
+            angles = EulerAngles(*(math.radians(a) for a in deg))
+            return euler_to_quat(angles) if quat else euler_to_uv(angles)
+    except ValueError as exc:
+        raise ConfigError(f"{name.replace('_', ' ')}: {exc}") from None
+    return None
 
 
 def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario, str | None]:
-    """Build the scenario from a config file plus command-line overrides."""
+    """Build the scenario from a config file plus command-line overrides.
+
+    The accepted keys, their types and their defaults are the fields of
+    ``Scenario``, ``ArrayConfig`` and ``LinkParams``, apart from the keys in
+    ``_SPELLED``. ``link.frequency_hz`` defaults to ``array.frequency_hz``.
+    """
     with open(config_path, encoding="utf-8") as fh:
         doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _expect(doc, _TOP_KEYS, "")
-
-    arr = doc.get("array", {})
-    if not isinstance(arr, dict):
-        raise ConfigError("array must be an object")
-    _expect(arr, _ARRAY_KEYS, "array.")
-    array = ArrayConfig(
-        nx=_integer(arr, "nx", 32, "array."),
-        ny=_integer(arr, "ny", 32, "array."),
-        spacing_wavelengths=_number(arr, "spacing_wavelengths", 0.25, "array."),
-        frequency_hz=_number(arr, "frequency_hz", 60e9, "array."),
-    )
-
-    lnk = doc.get("link", {})
-    if not isinstance(lnk, dict):
-        raise ConfigError("link must be an object")
-    _expect(lnk, _LINK_KEYS, "link.")
-    link = LinkParams(
-        eirp_dbm=_number(lnk, "eirp_dbm", 30.0, "link."),
-        distance_m=_number(lnk, "distance_m", 3.0, "link."),
-        frequency_hz=_number(lnk, "frequency_hz", array.frequency_hz, "link."),
-        path_loss_exponent=_number(lnk, "path_loss_exponent", 2.0, "link."),
-        reference_distance_m=_number(lnk, "reference_distance_m", 1.0, "link."),
-        reference_loss_db=_opt_number(lnk, "reference_loss_db", 68.0, "link."),
-        noise_floor_dbm=_opt_number(lnk, "noise_floor_dbm", None, "link."),
-    )
-
+    values = _scalars(doc, Scenario)
+    array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
+    link = {"frequency_hz": array.frequency_hz, **_scalars(doc.get("link", {}), LinkParams, "link.")}
+    for name in ("orientation_start", "orientation_end", "ap_direction"):
+        value = _direction(doc, name)
+        if value is not None:
+            values[name] = value
     mcs_path = doc.get("mcs_table_path")
-    mcs_table = None
     if mcs_path is not None:
         if not isinstance(mcs_path, str):
             raise ConfigError("mcs_table_path must be a string")
-        mcs_table = load_mcs_table(config_path.parent / mcs_path)
-
-    strategy = doc.get("strategy", "covrage")
+        values["mcs_table"] = load_mcs_table(config_path.parent / mcs_path)
     if args.strategy is not None:
-        strategy = args.strategy
+        values["strategy"] = args.strategy
     if args.ablation is not None:
-        no_sync = "no_sync" in args.ablation
-        delayed = "delayed_first" in args.ablation
-    else:
-        no_sync = _boolean(doc, "no_sync", False)
-        delayed = _boolean(doc, "delayed_first", False)
-    seed = _integer(doc, "seed", 0, "")
+        values.update((name, name in args.ablation) for name in ABLATIONS)
     if args.seed is not None:
-        seed = args.seed
-
-    scenario = Scenario(
-        array=array,
-        link=link,
-        orientation_start=_orientation(doc, "orientation_start"),
-        orientation_end=_orientation(doc, "orientation_end"),
-        ap_direction=_ap_direction(doc),
-        n_samples=_integer(doc, "n_samples", None, ""),
-        strategy=strategy,
-        no_sync=no_sync,
-        delayed_first=delayed,
-        seed=seed,
-        interleave=_integer(doc, "interleave", 4, ""),
-        phase_bits=_integer(doc, "phase_bits", None, ""),
-        mcs_table=mcs_table,
-    )
-    return scenario, mcs_path
+        values["seed"] = args.seed
+    return Scenario(array=array, link=LinkParams(**link), **values), mcs_path
 
 
 def _scenario_dict(sc: Scenario, mcs_path: str | None) -> dict:
-    return {
-        "array": {
-            "nx": sc.array.nx,
-            "ny": sc.array.ny,
-            "spacing_wavelengths": sc.array.spacing_wavelengths,
-            "frequency_hz": sc.array.frequency_hz,
-        },
-        "link": {
-            "eirp_dbm": sc.link.eirp_dbm,
-            "distance_m": sc.link.distance_m,
-            "frequency_hz": sc.link.frequency_hz,
-            "path_loss_exponent": sc.link.path_loss_exponent,
-            "reference_distance_m": sc.link.reference_distance_m,
-            "reference_loss_db": sc.link.reference_loss_db,
-            "noise_floor_dbm": sc.link.noise_floor_dbm,
-        },
-        "orientation_start": [sc.orientation_start.w, sc.orientation_start.x,
-                              sc.orientation_start.y, sc.orientation_start.z],
-        "orientation_end": [sc.orientation_end.w, sc.orientation_end.x,
-                            sc.orientation_end.y, sc.orientation_end.z],
-        "ap_direction_uv": [sc.ap_direction.u, sc.ap_direction.v],
-        "n_samples": sc.n_samples,
-        "strategy": sc.strategy,
-        "no_sync": sc.no_sync,
-        "delayed_first": sc.delayed_first,
-        "seed": sc.seed,
-        "interleave": sc.interleave,
-        "phase_bits": sc.phase_bits,
-        "mcs_table_path": mcs_path,
-    }
+    """The resolved scenario under its config keys, itself a valid config."""
+    doc = {}
+    for f in dataclasses.fields(Scenario):
+        value = getattr(sc, f.name)
+        if f.name == "mcs_table":
+            value = mcs_path
+        elif f.name in _SPELLED:
+            value = list(dataclasses.astuple(value))
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        doc[_SPELLED.get(f.name, (f.name,))[0]] = value
+    return doc
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -87,7 +87,7 @@ class Scenario:
             raise ConfigError("n_samples must be at least 2")
         if self.phase_bits is not None and self.phase_bits < 1:
             raise ConfigError("phase_bits must be at least 1")
-        if self.interleave < 1:
+        if self.interleave < 1 or math.isqrt(self.interleave) ** 2 != self.interleave:
             raise ConfigError("interleave must be a positive square")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
@@ -215,6 +215,10 @@ def sweep_trajectory(
     power = np.abs(coeff) ** 2
     gains = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
     g_max, peak_uv = peak_gain(awv, spacing_wl, peak_resolution)
+    best = int(np.argmax(gains))
+    if gains[best] > g_max:
+        # The grid search can step over a beam narrower than its cell.
+        g_max, peak_uv = float(gains[best]), trajectory[best]
     loss = path_loss(link.distance_m, link)
     rx = link.eirp_dbm - loss + gains
     mcs = tuple(select_mcs(float(level), table) for level in rx)

@@ -18,7 +18,6 @@ from covrage.array_model import (
     coefficient_grid,
     coefficient_points,
     compose_full_awv,
-    directional_gain,
     element_phase_delta,
     origin_phase_correction,
     partition_interleaved,
@@ -29,6 +28,7 @@ from covrage.array_model import (
 )
 from covrage.errors import ConfigError
 from covrage.geometry import UvPoint, uv_to_euler
+from covrage.harness import gain_map
 
 # ---------------------------------------------------------------------------
 # Oracle: the coefficient as a literal double loop over elements. An incoming
@@ -145,16 +145,18 @@ def test_coefficient_periodicity_in_sine_space():
 def test_coherent_gain_16x16():
     d = SteeringDirection.from_uv(UvPoint(0.3, -0.2))
     awv = steering_weights((16, 16), 0.5, d)
-    gain = directional_gain(awv, d.phi, d.theta, 0.5)
+    gain = 20.0 * math.log10(abs(coefficient_points(awv, 0.3, -0.2, 0.5)[0]))
     assert gain == pytest.approx(20.0 * math.log10(256.0), abs=1e-9)
     assert gain == pytest.approx(48.16, abs=0.01)
 
 
 def test_gain_floor_at_pattern_null():
     awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
-    # First null of the broadside pattern: u = 1/(N d) = 0.125.
-    e = uv_to_euler(UvPoint(0.125, 0.0))
-    assert directional_gain(awv, e.phi, e.theta, 0.5) == GAIN_FLOOR_DBI
+    # First null of the broadside pattern: u = 1/(N d) = 0.125, which is
+    # cell (9, 8) of a 17-point gain map.
+    grid = gain_map(awv, 17, 0.5)
+    assert (grid.axis[9], grid.axis[8]) == (0.125, 0.0)
+    assert grid.gain_dbi[9, 8] == GAIN_FLOOR_DBI
 
 
 @settings(max_examples=30)
@@ -345,8 +347,8 @@ def test_reinforced_gain_equals_full_aperture():
     sub = steering_weights((16, 16), layout.spacing_wl, d)
     shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
     composed = compose_full_awv([sub] * 4, shifts, layout)
-    gain = directional_gain(composed, d.phi, d.theta, cfg.spacing_wavelengths)
-    assert gain == pytest.approx(20.0 * math.log10(1024.0), abs=1e-9)
+    c = coefficient_points(composed, 0.25, 0.1, cfg.spacing_wavelengths)[0]
+    assert 20.0 * math.log10(abs(c)) == pytest.approx(20.0 * math.log10(1024.0), abs=1e-9)
 
 
 def test_opposed_shifts_cancel_coefficients():

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: configs in, deterministic files out."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,51 @@ def test_compare_six_rows_covrage_wins(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Manifest echo
+
+SPELLED = {
+    "array": {"nx": 16, "ny": 16, "frequency_hz": 28e9},
+    "link": {"frequency_hz": 30e9, "reference_loss_db": None, "noise_floor_dbm": -80},
+    "orientation_start_euler_deg": [5.0, -3.0, 1.0],
+    "orientation_end_euler_deg": [18.0, 4.0, 2.0],
+    "ap_direction_deg": [6.0, -3.0],
+    "n_samples": 24,
+    "phase_bits": 3,
+    "seed": 5,
+}
+REF_B = json.loads((Path(__file__).parent / "golden" / "ref_b.json").read_text())
+
+
+@pytest.mark.parametrize("doc", [MOVING, SPELLED, REF_B], ids=["moving", "spelled", "ref_b"])
+def test_manifest_scenario_reruns_as_config(tmp_path, doc):
+    # The echoed scenario is a config that resolves to the same scenario.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("sweep", "--config", write_config(tmp_path, doc), "--out-dir", first) == 0
+    echo = json.loads((first / "manifest.json").read_text())["scenario"]
+    rerun = write_config(tmp_path, echo, "echo.json")
+    assert run("sweep", "--config", rerun, "--out-dir", second) == 0
+    again = json.loads((second / "manifest.json").read_text())["scenario"]
+    assert json.dumps(again) == json.dumps(echo)
+    assert (second / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
+
+
+def test_manifest_echo_resolves_defaults(tmp_path):
+    out = tmp_path / "out"
+    assert run("sweep", "--config", write_config(tmp_path, SPELLED), "--out-dir", out) == 0
+    echo = json.loads((out / "manifest.json").read_text())["scenario"]
+    assert echo["array"]["spacing_wavelengths"] == 0.25
+    assert echo["link"]["frequency_hz"] == 30e9
+    assert echo["link"]["reference_loss_db"] is None
+    assert "ap_direction_uv" in echo and "ap_direction_deg" not in echo
+    assert "orientation_end" in echo and "orientation_end_euler_deg" not in echo
+    # Without its own frequency, the link follows the array's.
+    doc = {"array": {"frequency_hz": 28e9}}
+    assert run("sweep", "--config", write_config(tmp_path, doc), "--out-dir", out) == 0
+    echo = json.loads((out / "manifest.json").read_text())["scenario"]
+    assert echo["link"]["frequency_hz"] == 28e9
+
+
+# ---------------------------------------------------------------------------
 # Config and model errors
 
 
@@ -213,6 +259,7 @@ def test_compare_six_rows_covrage_wins(tmp_path, capsys):
         ({"link": {"distance_m": float("inf")}}, "Infinity"),
         ({"ap_direction_uv": [float("nan"), 0.0]}, "NaN"),
         ({"orientation_end": [float("-inf"), 0.0, 0.0, 0.0]}, "-Infinity"),
+        ({"interleave": 3, "strategy": "baseline-start"}, "interleave"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):

@@ -194,6 +194,28 @@ def test_sweep_result_metrics_are_consistent():
     assert res.peak_gain_dbi >= res.max_gain_dbi - 1e-9
 
 
+@pytest.mark.parametrize("n,peak_resolution", [(32, 512), (64, 16)])
+def test_sweep_peak_never_below_a_sample(n, peak_resolution):
+    # Baseline-start peaks exactly on sample 0, which no grid point hits; a
+    # 16-point grid is far coarser than the 64x64 beam.
+    sc = Scenario(
+        array=ArrayConfig(n, n),
+        orientation_end=Quaternion.from_axis_angle((0.0, 1.0, 0.0), 0.1),
+        ap_direction=UvPoint(0.13, 0.07),
+        n_samples=32,
+        strategy="baseline-start",
+    )
+    built = build_beam(sc)
+    res = sweep_trajectory(
+        built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths,
+        peak_resolution=peak_resolution,
+    )
+    assert res.noise_penalty_db.min() >= 0.0
+    assert res.peak_gain_dbi >= res.max_gain_dbi
+    assert res.peak_gain_dbi == pytest.approx(20.0 * math.log10(n * n), abs=1e-9)
+    assert res.peak_uv == built.trajectory[0]
+
+
 def test_sweep_collinear_covrage_range_within_six_db():
     sc = collinear_scenario(0.3)
     built = build_beam(sc)
