@@ -134,9 +134,6 @@ class SubArrayLayout:
         """Effective element pitch inside one group, in wavelengths."""
         return self.stride * self.config.spacing_wavelengths
 
-    def mask(self, k: int) -> np.ndarray:
-        return self.sub_index == k
-
 
 def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:
     """Split the aperture into ``mi`` interleaved groups (mi a perfect square).
@@ -228,24 +225,15 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: Steer
     return Awv(np.cos(arg) + 1j * np.sin(arg))
 
 
-def array_coefficient(
-    awv: Awv, phi: float, theta: float, spacing_wl: float, mask: np.ndarray | None = None
-) -> complex:
-    """Receive coefficient: sum of weight times plane-wave offset over elements.
-
-    ``mask`` restricts the sum to a subset of elements (full-array coordinates),
-    which is how per-group coefficients of a composed weight vector are read off.
-    """
+def array_coefficient(awv: Awv, phi: float, theta: float, spacing_wl: float) -> complex:
+    """Receive coefficient: sum of weight times plane-wave offset over elements."""
     nx, ny = awv.shape
     u, v = _uv_of(phi, theta)
     arg = 2.0 * np.pi * spacing_wl * (
         np.arange(nx)[:, None] * u + np.arange(ny)[None, :] * v
     )
     delta = np.cos(arg) - 1j * np.sin(arg)
-    term = awv.weights * delta
-    if mask is not None:
-        term = term[mask]
-    return complex(term.sum())
+    return complex((awv.weights * delta).sum())
 
 
 def beamwidth_uv(n_side: int, spacing_wl: float) -> float:
@@ -291,12 +279,9 @@ def compose_full_awv(sub_awvs, shifts, layout: SubArrayLayout) -> Awv:
     shifts = np.asarray(shifts, dtype=complex)
     if not np.allclose(np.abs(shifts), 1.0, atol=1e-9, rtol=0.0):
         raise ValueError("group-level shifts must be unit phasors")
-    cfg = layout.config
-    full = np.empty((cfg.nx, cfg.ny), dtype=complex)
-    for k in range(layout.n_sub):
-        m = layout.mask(k)
-        full[m] = shifts[k] * sub_awvs[k].weights[layout.local_x[m], layout.local_y[m]]
-    return Awv(full)
+    k = layout.sub_index
+    stacked = np.stack([awv.weights for awv in sub_awvs])
+    return Awv(shifts[k] * stacked[k, layout.local_x, layout.local_y])
 
 
 def quantize_phases(awv: Awv, bits: int) -> Awv:

@@ -59,6 +59,47 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+# Rows per write: amortises the formatting call without building a file-sized string.
+_BLOCK_ROWS = 1 << 16
+
+
+def _text(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every float in ``values``, with NaN written as ``out``."""
+    values = values + 0.0  # -0 becomes 0
+    text = np.array(list(map("%.10g".__mod__, values.tolist())), dtype=object)
+    text[np.isnan(values)] = "out"
+    return text
+
+
+def _column(part: np.ndarray) -> tuple[str, np.ndarray]:
+    """The ``%`` spec and arguments that write ``part``: floats as ``_text``, others as ``str``."""
+    if part.dtype.kind != "f":
+        return "%s", part
+    if np.isnan(part).any():
+        return "%s", _text(part)
+    return "%.10g", part + 0.0  # formats as _fmt does, without a string per cell
+
+
+def _grid(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major columns pairing each entry of ``rows`` with each of ``cols``."""
+    return np.repeat(rows, len(cols)), np.tile(cols, len(rows))
+
+
+def _labels(n: int) -> np.ndarray:
+    return np.array(list(map(str, range(n))), dtype=object)
+
+
+def write_table(path: Path, header: list[str], columns: list) -> None:
+    """Write ``header`` lines, then one comma-separated row per entry of the equal-length columns."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in header))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            specs, parts = zip(*(_column(c[start:start + _BLOCK_ROWS]) for c in columns))
+            block = np.array(parts, dtype=object).T
+            fh.write((",".join(specs) + "\n") * len(block) % tuple(block.ravel().tolist()))
+
+
 # Scenario fields whose config keys differ from the field name. The manifest
 # echoes the first key; a second key gives the same value in degrees.
 _SPELLED = {
@@ -238,12 +279,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for k, shift in enumerate(plan.sync_shifts):
         print(f"shift {k}: phase_rad={_fmt(np.angle(shift))}")
     print(f"extrapolated: {'yes' if plan.extrapolated else 'no'}")
-    lines = ["# covrage-awv-v1", "x,y,phase_rad"]
     phases = built.awv.phases()
-    for x in range(phases.shape[0]):
-        for y in range(phases.shape[1]):
-            lines.append(f"{x},{y},{_fmt(phases[x, y])}")
-    _write(out / "awv.csv", "\n".join(lines) + "\n")
+    x, y = _grid(*map(_labels, phases.shape))
+    write_table(out / "awv.csv", ["# covrage-awv-v1", "x,y,phase_rad"], [x, y, phases.ravel()])
     return 0
 
 
@@ -255,15 +293,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     res = sweep_trajectory(
         built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, sc.mcs_table
     )
-    lines = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
-    for k, (u, v) in enumerate(built.trajectory.uv.tolist()):
-        entry = res.mcs[k]
-        lines.append(
-            f"{k},{_fmt(u)},{_fmt(v)},{_fmt(res.gain_dbi[k])},"
-            f"{_fmt(res.noise_penalty_db[k])},{_fmt(res.rx_power_dbm[k])},"
-            f"{entry.index},{_fmt(entry.datarate_mbps)}"
-        )
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
+    uv, mcs = built.trajectory.uv, res.mcs
+    header = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
+    write_table(out / "sweep.csv", header, [
+        np.arange(len(uv)), uv[:, 0], uv[:, 1], res.gain_dbi, res.noise_penalty_db, res.rx_power_dbm,
+        [e.index for e in mcs], [e.datarate_mbps for e in mcs],
+    ])
     summary = {
         "schema": "covrage-sweep-summary-v1",
         "strategy": sc.strategy,
@@ -289,22 +324,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gainmap(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
+    if args.resolution < 16:
+        raise ConfigError("gain map resolution must be at least 16")
     out = _out_dir(args)
     _write_manifest(out, "gainmap", args, sc, mcs_path, {"resolution": args.resolution})
     built = build_beam(sc)
     grid = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
-    lines = [
-        "# covrage-gainmap-v1",
-        f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}",
-        "i,j,u,v,gain_dbi",
-    ]
-    axis = grid.axis
-    for i in range(grid.resolution):
-        for j in range(grid.resolution):
-            value = grid.gain_dbi[i, j]
-            cell = "out" if np.isnan(value) else _fmt(value)
-            lines.append(f"{i},{j},{_fmt(axis[i])},{_fmt(axis[j])},{cell}")
-    _write(out / "gainmap.csv", "\n".join(lines) + "\n")
+    header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
+    index, axis = _labels(grid.resolution), _text(grid.axis)
+    write_table(out / "gainmap.csv", header, [*_grid(index, index), *_grid(axis, axis), grid.gain_dbi.ravel()])
     print(f"gainmap: {grid.resolution}x{grid.resolution} cells")
     return 0
 
@@ -314,24 +342,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     _write_manifest(out, "compare", args, sc, mcs_path)
     rows = compare_strategies(sc)
-    lines = [
-        "# covrage-compare-v1",
-        "strategy,ablation,beam_count,min_gain_dbi,max_gain_dbi,gain_range_db,min_mcs_index,min_datarate_mbps",
-    ]
     print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
     for row in rows:
         res = row.result
-        lines.append(
-            f"{row.strategy},{row.ablation},{row.beam_count},{_fmt(res.min_gain_dbi)},"
-            f"{_fmt(res.max_gain_dbi)},{_fmt(res.gain_range_db)},"
-            f"{res.min_mcs_index},{_fmt(res.min_datarate_mbps)}"
-        )
         print(
             f"{row.strategy:<16}{row.ablation or '-':<15}{row.beam_count:>5}"
             f"{res.min_gain_dbi:>10.3f}{res.max_gain_dbi:>10.3f}{res.gain_range_db:>10.3f}"
             f"{res.min_mcs_index:>5}{res.min_datarate_mbps:>10.1f}"
         )
-    _write(out / "compare.csv", "\n".join(lines) + "\n")
+    stats = ("min_gain_dbi", "max_gain_dbi", "gain_range_db", "min_mcs_index", "min_datarate_mbps")
+    header = ["# covrage-compare-v1", ",".join(("strategy", "ablation", "beam_count") + stats)]
+    cells = [(row.strategy, row.ablation, row.beam_count, *(getattr(row.result, s) for s in stats)) for row in rows]
+    write_table(out / "compare.csv", header, list(zip(*cells)))
     return 0
 
 

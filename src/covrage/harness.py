@@ -89,6 +89,9 @@ class Scenario:
             raise ConfigError("phase_bits must be at least 1")
         if self.interleave < 1 or math.isqrt(self.interleave) ** 2 != self.interleave:
             raise ConfigError("interleave must be a positive square")
+        m, nx, ny = math.isqrt(self.interleave), self.array.nx, self.array.ny
+        if nx % m or ny % m:
+            raise ConfigError(f"array {nx}x{ny} does not divide into {m}x{m} interleaves")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

@@ -228,7 +228,7 @@ def test_interleaved_masks_partition_the_lattice():
     layout = partition_interleaved(ArrayConfig(), 4)
     total = np.zeros((32, 32), dtype=int)
     for k in range(4):
-        mask = layout.mask(k)
+        mask = layout.sub_index == k
         assert mask.sum() == 256
         total += mask.astype(int)
     assert (total == 1).all()
@@ -278,7 +278,7 @@ def test_localized_refines_interleaved():
     assert layout.spacing_wl == pytest.approx(0.5)
     total = np.zeros((32, 32), dtype=int)
     for k in range(16):
-        mask = layout.mask(k)
+        mask = layout.sub_index == k
         assert mask.sum() == 64
         total += mask.astype(int)
         # All elements of one child share the parent interleave offset.

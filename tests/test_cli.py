@@ -1,11 +1,16 @@
 """End-to-end command-line checks: configs in, deterministic files out."""
 
+import argparse
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from covrage import cli
 from covrage.cli import main
+from covrage.harness import build_beam, gain_map
 
 MOVING = {
     "orientation_end_euler_deg": [20.0, 0.0, 0.0],
@@ -161,6 +166,78 @@ def test_gainmap_resolution_floor(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+def test_gainmap_bad_resolution_writes_no_manifest(tmp_path):
+    cfg = write_config(tmp_path, STATIC)
+    out = tmp_path / "out"
+    assert run("gainmap", "--config", cfg, "--out-dir", out, "--resolution", 8) == 2
+    assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# table files
+
+
+def cell(x):
+    """One value as the data files write it, formatted on its own."""
+    x = float(x)
+    if math.isnan(x):
+        return "out"
+    return "0" if x == 0.0 else format(x, ".10g")
+
+
+EDGES = [-0.0, float("nan"), 5e-324, 1e-300, 1e16, 3.0, math.pi, -math.pi, 0.0, -1e-5, 123456.789012345]
+
+
+def test_column_text_matches_per_cell_format(tmp_path):
+    values = np.concatenate([EDGES, np.random.default_rng(4).standard_normal(500) * 10.0 ** np.arange(-250, 250)])
+    assert list(cli._text(values)) == [cell(x) for x in values]
+    # The writer has one path for float columns holding NaN and one for the rest.
+    for column in (values, values[~np.isnan(values)]):
+        cli.write_table(tmp_path / "t.csv", ["# head"], [column, ["a"] * len(column), np.arange(len(column))])
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows == ["# head"] + [f"{cell(x)},a,{k}" for k, x in enumerate(column)]
+
+
+def scenario_of(cfg):
+    args = argparse.Namespace(strategy=None, ablation=None, seed=None)
+    return cli.load_scenario(cfg, args)[0]
+
+
+RECTANGULAR = dict(MOVING, array={"nx": 64, "ny": 32})
+
+
+def test_awv_csv_matches_per_cell_rendering(tmp_path, monkeypatch):
+    # A rectangular array catches a transposed index; small blocks cross block edges.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    cfg = write_config(tmp_path, RECTANGULAR)
+    out = tmp_path / "out"
+    assert run("plan", "--config", cfg, "--out-dir", out) == 0
+    phases = build_beam(scenario_of(cfg)).awv.phases()
+    assert phases.shape == (64, 32)
+    want = ["# covrage-awv-v1", "x,y,phase_rad"]
+    want += [f"{x},{y},{cell(phases[x, y])}" for x in range(64) for y in range(32)]
+    assert (out / "awv.csv").read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("resolution", [17, 33])
+def test_gainmap_csv_matches_per_cell_rendering(tmp_path, monkeypatch, resolution):
+    # Odd resolutions put an exact 0 on the axis.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    cfg = write_config(tmp_path, RECTANGULAR)
+    out = tmp_path / "out"
+    assert run("gainmap", "--config", cfg, "--out-dir", out, "--resolution", resolution) == 0
+    sc = scenario_of(cfg)
+    grid = gain_map(build_beam(sc).awv, resolution, sc.array.spacing_wavelengths)
+    axis, gain = grid.axis, grid.gain_dbi
+    assert axis[resolution // 2] == 0.0 and np.isnan(gain).any()
+    want = ["# covrage-gainmap-v1", "# display_clamp_dbi=30", "i,j,u,v,gain_dbi"]
+    want += [
+        f"{i},{j},{cell(axis[i])},{cell(axis[j])},{cell(gain[i, j])}"
+        for i in range(resolution) for j in range(resolution)
+    ]
+    assert (out / "gainmap.csv").read_text() == "\n".join(want) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -260,6 +337,7 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         ({"ap_direction_uv": [float("nan"), 0.0]}, "NaN"),
         ({"orientation_end": [float("-inf"), 0.0, 0.0, 0.0]}, "-Infinity"),
         ({"interleave": 3, "strategy": "baseline-start"}, "interleave"),
+        ({"interleave": 9, "strategy": "baseline-start"}, "array 32x32 does not divide into 3x3 interleaves"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
