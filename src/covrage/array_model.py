@@ -47,6 +47,9 @@ class ArrayConfig:
     frequency_hz: float = 60e9
 
     def __post_init__(self) -> None:
+        for name in ("spacing_wavelengths", "frequency_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"array {name} must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("array dimensions must be positive")
         if self.spacing_wavelengths <= 0.0:
@@ -316,6 +319,12 @@ def coefficient_grid(awv: Awv, u: np.ndarray, v: np.ndarray, spacing_wl: float) 
     return eu.T @ (awv.weights @ ev)
 
 
+def check_peak_resolution(resolution: int) -> None:
+    """Reject a peak-search grid coarser than 16x16."""
+    if resolution < 16:
+        raise ConfigError("peak search needs a grid of at least 16x16")
+
+
 def peak_gain(
     awv: Awv, spacing_wl: float, resolution: int = 512
 ) -> tuple[float, UvPoint]:
@@ -324,8 +333,7 @@ def peak_gain(
     Coarse scan on a resolution^2 UV grid masked to the unit disc, then a few
     shrinking local grid refinements around the best cell.
     """
-    if resolution < 16:
-        raise ConfigError("peak search needs a grid of at least 16x16")
+    check_peak_resolution(resolution)
     axis = np.linspace(-1.0, 1.0, resolution)
     power = np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2
     power[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = 0.0

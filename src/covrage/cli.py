@@ -30,8 +30,8 @@ from .harness import (
     STRATEGIES,
     Scenario,
     build_beam,
-    compare_strategies,
     gain_map,
+    iter_strategies,
     sweep_trajectory,
 )
 from .link_budget import LinkParams, load_mcs_table
@@ -341,18 +341,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     out = _out_dir(args)
     _write_manifest(out, "compare", args, sc, mcs_path)
-    rows = compare_strategies(sc)
-    print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
-    for row in rows:
-        res = row.result
-        print(
-            f"{row.strategy:<16}{row.ablation or '-':<15}{row.beam_count:>5}"
-            f"{res.min_gain_dbi:>10.3f}{res.max_gain_dbi:>10.3f}{res.gain_range_db:>10.3f}"
-            f"{res.min_mcs_index:>5}{res.min_datarate_mbps:>10.1f}"
-        )
     stats = ("min_gain_dbi", "max_gain_dbi", "gain_range_db", "min_mcs_index", "min_datarate_mbps")
+    print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
+    cells = []
+    for strategy, ablation, beams, res in iter_strategies(sc):
+        lo, hi, span, mcs, rate = (getattr(res, s) for s in stats)
+        del res  # free this variant's weights before the next one is built
+        print(
+            f"{strategy:<16}{ablation or '-':<15}{beams:>5}"
+            f"{lo:>10.3f}{hi:>10.3f}{span:>10.3f}{mcs:>5}{rate:>10.1f}"
+        )
+        cells.append((strategy, ablation, beams, lo, hi, span, mcs, rate))
     header = ["# covrage-compare-v1", ",".join(("strategy", "ablation", "beam_count") + stats)]
-    cells = [(row.strategy, row.ablation, row.beam_count, *(getattr(row.result, s) for s in stats)) for row in rows]
     write_table(out / "compare.csv", header, list(zip(*cells)))
     return 0
 

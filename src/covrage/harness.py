@@ -9,18 +9,23 @@ ablations modify the covering plan only: no_sync randomizes every beam-level
 phase shift (seeded), delayed_first moves the first beam to the farthest
 sample still covering the path start.
 
-Sweeps report per-sample receive gain, noise penalty against the pattern's
-hemisphere-wide maximum, received power, and the selected rate entry. All
-results are deterministic functions of the scenario, including the seeded
-random pieces.
+Sweeps report per-sample receive gain, received power, and the selected rate
+entry. The noise penalty against the pattern's hemisphere-wide maximum needs a
+peak search over the whole front hemisphere; a SweepResult runs it on the
+first read of its peak or penalty, and keeps its weight vector until then.
+Comparisons read only the on-path gain and rate, so they never search.
+iter_strategies yields a comparison's variants one at a time, which keeps one
+variant's weights alive instead of six on large arrays. All results are
+deterministic functions of the scenario, including the seeded random pieces.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .array_model import (
     Awv,
     SteeringDirection,
     beamwidth_uv,
+    check_peak_resolution,
     coefficient_grid,
     coefficient_points,
     peak_gain,
@@ -163,25 +169,55 @@ def build_beam(sc: Scenario) -> BeamBuild:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-sample link metrics along a trajectory plus pattern-wide context."""
+    """Per-sample link metrics along a trajectory, with the hemisphere peak on demand.
+
+    The peak search is the costly part of a sweep, and most readers of a
+    result never look at it. It runs on the first read of peak_gain_dbi,
+    peak_uv or noise_penalty_db, so the result keeps the weight vector it
+    was swept with until it is dropped.
+    """
 
     trajectory: Trajectory
     gain_dbi: np.ndarray
-    noise_penalty_db: np.ndarray
     rx_power_dbm: np.ndarray
     mcs: tuple[McsEntry, ...]
-    peak_gain_dbi: float
-    peak_uv: UvPoint
+    awv: Awv
+    spacing_wl: float
+    peak_resolution: int
 
     def __post_init__(self) -> None:
         n = len(self.trajectory)
-        for name in ("gain_dbi", "noise_penalty_db", "rx_power_dbm"):
+        for name in ("gain_dbi", "rx_power_dbm"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must hold one value per sample")
             arr.setflags(write=False)
         if len(self.mcs) != n:
             raise ValueError("mcs must hold one entry per sample")
+
+    @functools.cached_property
+    def _peak(self) -> tuple[float, UvPoint, np.ndarray]:
+        g_max, peak_uv = peak_gain(self.awv, self.spacing_wl, self.peak_resolution)
+        best = int(np.argmax(self.gain_dbi))
+        if self.gain_dbi[best] > g_max:
+            # The grid search can step over a beam narrower than its cell.
+            g_max, peak_uv = float(self.gain_dbi[best]), self.trajectory[best]
+        penalty = g_max - self.gain_dbi
+        penalty.setflags(write=False)
+        return g_max, peak_uv, penalty
+
+    @property
+    def peak_gain_dbi(self) -> float:
+        return self._peak[0]
+
+    @property
+    def peak_uv(self) -> UvPoint:
+        return self._peak[1]
+
+    @property
+    def noise_penalty_db(self) -> np.ndarray:
+        """Per-sample gain below the hemisphere peak, in dB."""
+        return self._peak[2]
 
     @property
     def min_gain_dbi(self) -> float:
@@ -212,27 +248,23 @@ def sweep_trajectory(
     mcs_table: tuple[McsEntry, ...] | None = None,
     peak_resolution: int = 512,
 ) -> SweepResult:
-    """Receive gain, noise penalty, received power, and rate along a path."""
+    """Receive gain, received power, and rate along a path; the peak on first read."""
+    check_peak_resolution(peak_resolution)  # fail here, not at the first peak read
     table = mcs_table if mcs_table is not None else default_mcs_table()
     coeff = coefficient_points(awv, trajectory.u_array(), trajectory.v_array(), spacing_wl)
     power = np.abs(coeff) ** 2
     gains = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
-    g_max, peak_uv = peak_gain(awv, spacing_wl, peak_resolution)
-    best = int(np.argmax(gains))
-    if gains[best] > g_max:
-        # The grid search can step over a beam narrower than its cell.
-        g_max, peak_uv = float(gains[best]), trajectory[best]
     loss = path_loss(link.distance_m, link)
     rx = link.eirp_dbm - loss + gains
     mcs = tuple(select_mcs(float(level), table) for level in rx)
     return SweepResult(
         trajectory=trajectory,
         gain_dbi=gains,
-        noise_penalty_db=g_max - gains,
         rx_power_dbm=rx,
         mcs=mcs,
-        peak_gain_dbi=g_max,
-        peak_uv=peak_uv,
+        awv=awv,
+        spacing_wl=spacing_wl,
+        peak_resolution=peak_resolution,
     )
 
 
@@ -368,33 +400,47 @@ class CompareRow(NamedTuple):
     result: SweepResult
 
 
+_VARIANTS = (
+    ("covrage", ""),
+    ("baseline-start", ""),
+    ("baseline-edge", ""),
+    ("baseline-mid", ""),
+    ("covrage", "no_sync"),
+    ("covrage", "delayed_first"),
+)
+
+
+def _compare_row(sc: Scenario, strategy: str, ablation: str, peak_resolution: int) -> CompareRow:
+    variant = dataclasses.replace(
+        sc,
+        strategy=strategy,
+        no_sync=ablation == "no_sync",
+        delayed_first=ablation == "delayed_first",
+    )
+    built = build_beam(variant)
+    result = sweep_trajectory(
+        built.awv,
+        built.trajectory,
+        variant.link,
+        variant.array.spacing_wavelengths,
+        variant.mcs_table,
+        peak_resolution,
+    )
+    beams = built.plan.n_beams if built.plan is not None else 1
+    return CompareRow(strategy, ablation, beams, result)
+
+
+def iter_strategies(sc: Scenario, peak_resolution: int = 512) -> Iterator[CompareRow]:
+    """Every strategy plus both ablations on one scenario, one row at a time.
+
+    Each row holds its variant's weight vector, so a caller that drops a row
+    before taking the next keeps one large array's weights alive, not six.
+    A bad peak_resolution fails at this call, not at the first row.
+    """
+    check_peak_resolution(peak_resolution)
+    return (_compare_row(sc, s, a, peak_resolution) for s, a in _VARIANTS)
+
+
 def compare_strategies(sc: Scenario, peak_resolution: int = 512) -> list[CompareRow]:
     """Run every strategy plus both ablations on one scenario's trajectory."""
-    variants = [
-        ("covrage", ""),
-        ("baseline-start", ""),
-        ("baseline-edge", ""),
-        ("baseline-mid", ""),
-        ("covrage", "no_sync"),
-        ("covrage", "delayed_first"),
-    ]
-    rows = []
-    for strategy, ablation in variants:
-        variant = dataclasses.replace(
-            sc,
-            strategy=strategy,
-            no_sync=ablation == "no_sync",
-            delayed_first=ablation == "delayed_first",
-        )
-        built = build_beam(variant)
-        result = sweep_trajectory(
-            built.awv,
-            built.trajectory,
-            variant.link,
-            variant.array.spacing_wavelengths,
-            variant.mcs_table,
-            peak_resolution,
-        )
-        beams = built.plan.n_beams if built.plan is not None else 1
-        rows.append(CompareRow(strategy, ablation, beams, result))
-    return rows
+    return list(iter_strategies(sc, peak_resolution))

@@ -39,6 +39,13 @@ class LinkParams:
     noise_floor_dbm: float | None = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "eirp_dbm", "distance_m", "frequency_hz", "path_loss_exponent",
+            "reference_distance_m", "reference_loss_db", "noise_floor_dbm",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"link {name} must be finite")
         if self.distance_m <= 0.0:
             raise ConfigError("link distance must be positive")
         if self.reference_distance_m <= 0.0:

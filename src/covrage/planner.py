@@ -380,15 +380,16 @@ def covrage_plan(
         traj = sample_trajectory(q1, q2, ap_dir, n_samples)
     length = trajectory_length(traj)
     s = subdivision_level(length, base_width, interleave)
+    layout = base
+    for _ in range(s):
+        layout = partition_localized(layout)
     while True:
-        layout = base
-        for _ in range(s):
-            layout = partition_localized(layout)
         width = base_width * 2.0**s
         cover = cover_points(traj, width / 2.0, delayed_first=delayed_first)
         if len(cover.centers) <= layout.n_sub:
             break
         s += 1
+        layout = partition_localized(layout)
 
     assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
     shape = (layout.side_x, layout.side_y)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covrage import cli
+from covrage import cli, harness
 from covrage.cli import main
 from covrage.harness import build_beam, gain_map
 
@@ -262,6 +262,19 @@ def test_compare_six_rows_covrage_wins(tmp_path, capsys):
     # Determinism across reruns.
     assert run("compare", "--config", cfg, "--out-dir", out) == 0
     assert read_all(out) == first
+
+
+def test_compare_never_searches_the_peak(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("compare searched the hemisphere peak")
+
+    monkeypatch.setattr(harness, "peak_gain", refuse)
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "out"
+    assert run("compare", "--config", golden / "ref_a.json", "--out-dir", out) == 0
+    expected = golden / "a" / "compare"
+    assert (out / "compare.csv").read_bytes() == (expected / "compare.csv").read_bytes()
+    assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
 
 
 # ---------------------------------------------------------------------------

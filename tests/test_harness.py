@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from covrage import harness
 from covrage.array_model import (
     ArrayConfig,
     SteeringDirection,
     beamwidth_uv,
     coefficient_points,
+    peak_gain,
     steering_weights,
 )
 from covrage.errors import ConfigError
@@ -22,6 +24,7 @@ from covrage.harness import (
     build_beam,
     compare_strategies,
     gain_map,
+    iter_strategies,
     random_head_rotation,
     reference_scenario,
     scenario_trajectory,
@@ -216,6 +219,61 @@ def test_sweep_peak_never_below_a_sample(n, peak_resolution):
     assert res.peak_uv == built.trajectory[0]
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_sweep_peak_searched_once_on_first_read(monkeypatch, name):
+    sc = reference_scenario(name)
+    built = build_beam(sc)
+    spacing = sc.array.spacing_wavelengths
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return peak_gain(*args)
+
+    monkeypatch.setattr(harness, "peak_gain", counted)
+    res = sweep_trajectory(built.awv, built.trajectory, sc.link, spacing)
+    assert calls == []
+    peak, peak_uv, penalty = res.peak_gain_dbi, res.peak_uv, res.noise_penalty_db
+    assert res.noise_penalty_db is penalty
+    assert len(calls) == 1
+    # An eager search plus the best-sample rule.
+    g_max, g_uv = peak_gain(built.awv, spacing, 512)
+    best = int(np.argmax(res.gain_dbi))
+    if res.gain_dbi[best] > g_max:
+        g_max, g_uv = float(res.gain_dbi[best]), built.trajectory[best]
+    assert peak == g_max
+    assert peak_uv == g_uv
+    np.testing.assert_array_equal(penalty, g_max - res.gain_dbi)
+    assert len(calls) == 1
+
+
+def test_sweep_noise_penalty_is_read_only():
+    sc = reference_scenario("a")
+    built = build_beam(sc)
+    res = sweep_trajectory(built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths)
+    with pytest.raises(ValueError):
+        res.noise_penalty_db[0] = 0.0
+    with pytest.raises(AttributeError):
+        res.noise_penalty_db = np.zeros(len(built.trajectory))
+
+
+def test_bad_peak_resolution_fails_at_the_call():
+    sc = reference_scenario("a")
+    built = build_beam(sc)
+    with pytest.raises(ConfigError) as searched:
+        peak_gain(built.awv, sc.array.spacing_wavelengths, 15)
+    message = str(searched.value)
+    with pytest.raises(ConfigError) as swept:
+        sweep_trajectory(
+            built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, peak_resolution=15
+        )
+    assert str(swept.value) == message
+    for call in (compare_strategies, iter_strategies):
+        with pytest.raises(ConfigError) as compared:
+            call(sc, peak_resolution=15)
+        assert str(compared.value) == message
+
+
 def test_sweep_collinear_covrage_range_within_six_db():
     sc = collinear_scenario(0.3)
     built = build_beam(sc)
@@ -399,6 +457,24 @@ def test_compare_strategies_rows_and_winner():
     assert rows[0].beam_count == 4
     for row in rows[1:4]:
         assert row.beam_count == 1
+
+
+def test_iter_strategies_yields_the_compare_rows():
+    sc = reference_scenario("b")
+    stats = ("min_gain_dbi", "max_gain_dbi", "gain_range_db", "min_mcs_index", "min_datarate_mbps")
+
+    def table(rows):
+        return [
+            (r.strategy, r.ablation, r.beam_count, *(getattr(r.result, s) for s in stats), tuple(r.result.mcs))
+            for r in rows
+        ]
+
+    listed = compare_strategies(sc)
+    streamed = list(iter_strategies(sc))
+    assert table(streamed) == table(listed)
+    for a, b in zip(listed, streamed):
+        np.testing.assert_array_equal(a.result.gain_dbi, b.result.gain_dbi)
+        np.testing.assert_array_equal(a.result.rx_power_dbm, b.result.rx_power_dbm)
 
 
 def test_covrage_never_below_baselines_over_seeds():

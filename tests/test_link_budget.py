@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from covrage.array_model import Awv, SteeringDirection, beamwidth_uv, steering_weights
+from covrage.array_model import ArrayConfig, Awv, SteeringDirection, beamwidth_uv, steering_weights
 from covrage.errors import ConfigError
 from covrage.geometry import Trajectory, UvPoint
 from covrage.harness import sweep_trajectory
@@ -215,3 +215,23 @@ def test_link_params_validation():
         LinkParams(distance_m=0.0)
     with pytest.raises(ConfigError):
         LinkParams(frequency_hz=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls,field",
+    [
+        (ArrayConfig, "spacing_wavelengths"),
+        (ArrayConfig, "frequency_hz"),
+        (LinkParams, "eirp_dbm"),
+        (LinkParams, "distance_m"),
+        (LinkParams, "frequency_hz"),
+        (LinkParams, "path_loss_exponent"),
+        (LinkParams, "reference_distance_m"),
+        (LinkParams, "reference_loss_db"),
+        (LinkParams, "noise_floor_dbm"),
+    ],
+)
+def test_config_floats_must_be_finite(cls, field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cls(**{field: value})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covrage import planner
 from covrage.array_model import (
     ArrayConfig,
     SteeringDirection,
@@ -15,6 +16,7 @@ from covrage.array_model import (
     coefficient_points,
     origin_phase_correction,
     partition_interleaved,
+    partition_localized,
     steering_weights,
 )
 from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory, uv_to_euler
@@ -439,6 +441,21 @@ def test_covrage_plan_subdivides_long_trajectory():
     half = plan.coverage.half_width
     for p in plan.trajectory:
         assert min(math.hypot(p.u - c.u, p.v - c.v) for c in plan.beam_centers) <= half + 1e-9
+
+
+def test_covrage_plan_retry_splits_the_current_layout(monkeypatch):
+    # With the depth estimate forced to 0, the cover walk drives every split:
+    # 9 beams for 1 group, then 5 for 4, then 3 for 16, so two retries.
+    monkeypatch.setattr(planner, "subdivision_level", lambda *args: 0)
+    q1, q2, ap = collinear_pair(1.0)
+    cfg = ArrayConfig()
+    _, plan = covrage_plan(q1, q2, ap, cfg, interleave=1, n_samples=128)
+    assert plan.coverage.subdivisions == 2
+    assert plan.coverage.width == pytest.approx(4.0 * beamwidth_uv(32, 0.25), abs=1e-12)
+    chained = partition_localized(partition_localized(partition_interleaved(cfg, 1)))
+    assert plan.layout.subdivisions == chained.subdivisions == 2
+    for name in ("sub_index", "local_x", "local_y", "origins"):
+        np.testing.assert_array_equal(getattr(plan.layout, name), getattr(chained, name))
 
 
 def test_covrage_plan_delayed_first_moves_first_center():
