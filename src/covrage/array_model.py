@@ -19,6 +19,7 @@ shared across threads freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,10 @@ GAIN_FLOOR_DBI = -40.0
 
 # Half-power width of a uniform aperture, as a fraction of wavelength/aperture.
 HALF_POWER_CONSTANT = 0.886
+
+# Finest phase quantization: a 2*pi / 2**52 step is a few float64 ulps of pi,
+# so a finer step falls below the resolution of a phase.
+MAX_PHASE_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,14 @@ class Awv:
         w.setflags(write=False)
         self.weights = w
 
+    @classmethod
+    def _trusted(cls, w: np.ndarray) -> "Awv":
+        """Wrap a C-contiguous complex grid that is unit-magnitude by construction."""
+        awv = object.__new__(cls)
+        w.setflags(write=False)
+        awv.weights = w
+        return awv
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
@@ -105,37 +118,100 @@ class Awv:
 
 @dataclass(frozen=True, eq=False)
 class SubArrayLayout:
-    """Partition of the full lattice into equal square groups.
+    """Partition of the full lattice into equal square groups: index arithmetic.
 
-    ``sub_index[x, y]`` is the owning group, ``local_x/local_y`` the coordinates
-    inside it, ``origins[k]`` the full-array coordinates of group k's local
-    (0, 0) element, and ``stride`` the full-lattice step between neighbouring
-    local elements (so the effective pitch is ``stride * config pitch``).
+    ``interleave_factor`` = m*m interleaved groups, each split into quadrants
+    ``subdivisions`` times. Group k has the digits ``[ry, rx]`` in base m, then
+    one ``[qy, qx]`` bit pair per split; its local element (lx, ly) sits at
+    ``x = (Qx * side_x + lx) * m + rx`` (likewise y), Qx reading the qx bits
+    first split first. ``stride`` = m is the full-lattice step between local
+    neighbours. ``sub_index``, ``local_x``, ``local_y`` and ``origins`` are
+    derived, read-only, on first read.
     """
 
     config: ArrayConfig
     interleave_factor: int
     subdivisions: int
-    sub_index: np.ndarray
-    local_x: np.ndarray
-    local_y: np.ndarray
-    origins: np.ndarray
-    side_x: int
-    side_y: int
-    stride: int
 
     def __post_init__(self) -> None:
-        for name in ("sub_index", "local_x", "local_y", "origins"):
-            getattr(self, name).setflags(write=False)
+        mi, nx, ny = self.interleave_factor, self.config.nx, self.config.ny
+        if mi < 1:
+            raise ConfigError(f"interleave factor {mi} must be positive")
+        m = self.stride
+        if m * m != mi:
+            raise ConfigError(f"interleave factor {mi} is not a perfect square")
+        if nx % m or ny % m:
+            raise ConfigError(f"array {nx}x{ny} does not divide into {m}x{m} interleaves")
+        for depth in range(self.subdivisions):
+            if nx // (m << depth) % 2 or ny // (m << depth) % 2:
+                raise ConfigError(f"groups of {nx // (m << depth)}x{ny // (m << depth)} cannot be halved")
+
+    @property
+    def stride(self) -> int:
+        return math.isqrt(self.interleave_factor)
+
+    @property
+    def side_x(self) -> int:
+        return self.config.nx // (self.stride << self.subdivisions)
+
+    @property
+    def side_y(self) -> int:
+        return self.config.ny // (self.stride << self.subdivisions)
 
     @property
     def n_sub(self) -> int:
-        return len(self.origins)
+        return self.interleave_factor << (2 * self.subdivisions)
 
     @property
     def spacing_wl(self) -> float:
         """Effective element pitch inside one group, in wavelengths."""
         return self.stride * self.config.spacing_wavelengths
+
+    @property
+    def beam_width(self) -> float:
+        """Half-power width of one group's beam in sine space (doubles per split)."""
+        return beamwidth_uv(min(self.side_x, self.side_y), self.spacing_wl)
+
+    def origin(self, k):
+        """Full-array (x, y) of group k's local (0, 0) element; k may be an array."""
+        m, d = self.stride, self.subdivisions
+        r, q = divmod(k, 1 << (2 * d))
+        qx = qy = 0
+        for shift in range(2 * d - 2, -1, -2):
+            qx, qy = 2 * qx + ((q >> shift) & 1), 2 * qy + ((q >> (shift + 1)) & 1)
+        return r % m + m * qx * self.side_x, r // m + m * qy * self.side_y
+
+    def scatter(self, groups: np.ndarray) -> np.ndarray:
+        """Read-only element grid ``[x, y]`` from group grids ``groups[k, lx, ly]``.
+
+        The group axes split into ry, rx, then qy, qx per split, then lx, ly;
+        x reads (qx..., lx, rx) row-major and y reads (qy..., ly, ry).
+        """
+        m, d, hx, hy = self.stride, self.subdivisions, self.side_x, self.side_y
+        stacked = np.broadcast_to(groups, (self.n_sub, hx, hy)).reshape((m, m) + (2,) * (2 * d) + (hx, hy))
+        qy = range(2, 2 + 2 * d, 2)
+        grid = stacked.transpose(*(a + 1 for a in qy), 2 + 2 * d, 1, *qy, 3 + 2 * d, 0)
+        grid = grid.reshape(self.config.nx, self.config.ny)
+        grid.setflags(write=False)
+        return grid
+
+    @functools.cached_property
+    def sub_index(self) -> np.ndarray:
+        return self.scatter(np.arange(self.n_sub)[:, None, None])
+
+    @functools.cached_property
+    def local_x(self) -> np.ndarray:
+        return self.scatter(np.arange(self.side_x)[None, :, None])
+
+    @functools.cached_property
+    def local_y(self) -> np.ndarray:
+        return self.scatter(np.arange(self.side_y)[None, None, :])
+
+    @functools.cached_property
+    def origins(self) -> np.ndarray:
+        origins = np.stack(self.origin(np.arange(self.n_sub)), axis=1)
+        origins.setflags(write=False)
+        return origins
 
 
 def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:
@@ -144,26 +220,7 @@ def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:
     Group index runs row-major over the (x mod m, y mod m) offsets, so for mi=4
     the groups 0..3 start at offsets (0,0), (1,0), (0,1), (1,1).
     """
-    m = math.isqrt(mi)
-    if m * m != mi:
-        raise ConfigError(f"interleave factor {mi} is not a perfect square")
-    if cfg.nx % m or cfg.ny % m:
-        raise ConfigError(f"array {cfg.nx}x{cfg.ny} does not divide into {m}x{m} interleaves")
-    x = np.arange(cfg.nx)[:, None] + np.zeros(cfg.ny, dtype=int)[None, :]
-    y = np.zeros(cfg.nx, dtype=int)[:, None] + np.arange(cfg.ny)[None, :]
-    origins = np.array([[k % m, k // m] for k in range(mi)], dtype=int)
-    return SubArrayLayout(
-        config=cfg,
-        interleave_factor=mi,
-        subdivisions=0,
-        sub_index=(y % m) * m + (x % m),
-        local_x=x // m,
-        local_y=y // m,
-        origins=origins,
-        side_x=cfg.nx // m,
-        side_y=cfg.ny // m,
-        stride=m,
-    )
+    return SubArrayLayout(cfg, mi, 0)
 
 
 def partition_localized(layout: SubArrayLayout, factor: int = 4) -> SubArrayLayout:
@@ -175,29 +232,7 @@ def partition_localized(layout: SubArrayLayout, factor: int = 4) -> SubArrayLayo
     """
     if factor != 4:
         raise ConfigError("only quadrant subdivision (factor 4) is supported")
-    if layout.side_x % 2 or layout.side_y % 2:
-        raise ConfigError(f"groups of {layout.side_x}x{layout.side_y} cannot be halved")
-    hx, hy = layout.side_x // 2, layout.side_y // 2
-    qx = layout.local_x // hx
-    qy = layout.local_y // hy
-    origins = np.empty((layout.n_sub * 4, 2), dtype=int)
-    for k in range(layout.n_sub):
-        for q in range(4):
-            origins[k * 4 + q] = layout.origins[k] + layout.stride * np.array(
-                [(q % 2) * hx, (q // 2) * hy]
-            )
-    return SubArrayLayout(
-        config=layout.config,
-        interleave_factor=layout.interleave_factor,
-        subdivisions=layout.subdivisions + 1,
-        sub_index=layout.sub_index * 4 + qy * 2 + qx,
-        local_x=layout.local_x % hx,
-        local_y=layout.local_y % hy,
-        origins=origins,
-        side_x=hx,
-        side_y=hy,
-        stride=layout.stride,
-    )
+    return SubArrayLayout(layout.config, layout.interleave_factor, layout.subdivisions + 1)
 
 
 def _uv_of(phi: float, theta: float) -> tuple[float, float]:
@@ -225,7 +260,7 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: Steer
     arg = 2.0 * np.pi * spacing_wl * (
         np.arange(nx)[:, None] * u + np.arange(ny)[None, :] * v
     )
-    return Awv(np.cos(arg) + 1j * np.sin(arg))
+    return Awv._trusted(np.cos(arg) + 1j * np.sin(arg))
 
 
 def array_coefficient(awv: Awv, phi: float, theta: float, spacing_wl: float) -> complex:
@@ -266,7 +301,7 @@ def origin_phase_correction(layout: SubArrayLayout, k: int, direction: SteeringD
     up exactly like the full aperture steered as one.
     """
     u, v = _uv_of(direction.phi, direction.theta)
-    ox, oy = layout.origins[k]
+    ox, oy = layout.origin(k)
     arg = 2.0 * math.pi * layout.config.spacing_wavelengths * (float(ox) * u + float(oy) * v)
     return complex(math.cos(arg), math.sin(arg))
 
@@ -282,17 +317,21 @@ def compose_full_awv(sub_awvs, shifts, layout: SubArrayLayout) -> Awv:
     shifts = np.asarray(shifts, dtype=complex)
     if not np.allclose(np.abs(shifts), 1.0, atol=1e-9, rtol=0.0):
         raise ValueError("group-level shifts must be unit phasors")
-    k = layout.sub_index
     stacked = np.stack([awv.weights for awv in sub_awvs])
-    return Awv(shifts[k] * stacked[k, layout.local_x, layout.local_y])
+    if stacked.shape[1:] != (layout.side_x, layout.side_y):
+        raise ValueError(f"group weights must be {layout.side_x}x{layout.side_y}; got {stacked.shape[1]}x{stacked.shape[2]}")
+    # The shift stays the left operand: numpy's vectorised complex multiply
+    # can round differently when its operands swap.
+    np.multiply(shifts[:, None, None], stacked, out=stacked)
+    return Awv._trusted(layout.scatter(stacked))
 
 
 def quantize_phases(awv: Awv, bits: int) -> Awv:
     """Snap every weight to the nearest of 2**bits uniformly spaced phases."""
-    if bits < 1:
-        raise ConfigError("phase quantization needs at least one bit")
+    if not 1 <= bits <= MAX_PHASE_BITS:
+        raise ConfigError(f"phase quantization needs 1 to {MAX_PHASE_BITS} bits")
     step = 2.0 * np.pi / (2**bits)
-    return Awv(np.exp(1j * step * np.round(np.angle(awv.weights) / step)))
+    return Awv._trusted(np.exp(1j * step * np.round(np.angle(awv.weights) / step)))
 
 
 def coefficient_points(awv: Awv, u, v, spacing_wl: float) -> np.ndarray:

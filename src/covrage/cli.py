@@ -390,19 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CovrageError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (CovrageError, ValueError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
 

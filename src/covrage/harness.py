@@ -31,6 +31,7 @@ import numpy as np
 
 from .array_model import (
     GAIN_FLOOR_DBI,
+    MAX_PHASE_BITS,
     ArrayConfig,
     Awv,
     SteeringDirection,
@@ -38,6 +39,7 @@ from .array_model import (
     check_peak_resolution,
     coefficient_grid,
     coefficient_points,
+    partition_interleaved,
     peak_gain,
     quantize_phases,
     steering_weights,
@@ -91,13 +93,9 @@ class Scenario:
             raise ConfigError("ablations apply to the covrage strategy only")
         if self.n_samples is not None and self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
-        if self.phase_bits is not None and self.phase_bits < 1:
-            raise ConfigError("phase_bits must be at least 1")
-        if self.interleave < 1 or math.isqrt(self.interleave) ** 2 != self.interleave:
-            raise ConfigError("interleave must be a positive square")
-        m, nx, ny = math.isqrt(self.interleave), self.array.nx, self.array.ny
-        if nx % m or ny % m:
-            raise ConfigError(f"array {nx}x{ny} does not divide into {m}x{m} interleaves")
+        if self.phase_bits is not None and not 1 <= self.phase_bits <= MAX_PHASE_BITS:
+            raise ConfigError(f"phase_bits must be between 1 and {MAX_PHASE_BITS}")
+        partition_interleaved(self.array, self.interleave)  # rejects an interleave the array cannot take
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

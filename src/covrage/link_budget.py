@@ -131,9 +131,12 @@ def load_mcs_table(source) -> tuple[McsEntry, ...]:
         if len(cells) != 3:
             raise ConfigError(f"{origin}: row {lineno} needs 3 columns, has {len(cells)}")
         try:
-            entries.append(McsEntry(int(cells[0]), float(cells[1]), float(cells[2])))
+            entry = McsEntry(int(cells[0]), float(cells[1]), float(cells[2]))
         except ValueError as exc:
             raise ConfigError(f"{origin}: row {lineno}: {exc}") from None
+        if not (math.isfinite(entry.sensitivity_dbm) and math.isfinite(entry.datarate_mbps)):
+            raise ConfigError(f"{origin}: row {lineno}: sensitivity and datarate must be finite")
+        entries.append(entry)
     return _validate_table(entries, origin)
 
 

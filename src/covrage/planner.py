@@ -31,7 +31,6 @@ from .array_model import (
     SteeringDirection,
     SubArrayLayout,
     array_coefficient,
-    beamwidth_uv,
     compose_full_awv,
     origin_phase_correction,
     partition_interleaved,
@@ -317,12 +316,6 @@ def phase_sync(
     return tuple(shifts), tuple(skipped)
 
 
-def _group_width(cfg: ArrayConfig, interleave: int) -> float:
-    """Beam width of one interleaved group before any quadrant split."""
-    m = math.isqrt(interleave)
-    return beamwidth_uv(min(cfg.nx, cfg.ny) // m, m * cfg.spacing_wavelengths)
-
-
 def plan_trajectory(
     q1: Quaternion,
     q2: Quaternion,
@@ -336,7 +329,7 @@ def plan_trajectory(
     if a tenth of the resulting beam width needs finer spacing, the path is
     resampled at that density.
     """
-    width = _group_width(cfg, interleave)
+    width = partition_interleaved(cfg, interleave).beam_width
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
     length = trajectory_length(probe)
     s = subdivision_level(length, width, interleave)
@@ -372,23 +365,18 @@ def covrage_plan(
     computed shifts (one unit phasor per beam, or a callable receiving the
     beam count); the first shift is then taken from the override as well.
     """
-    base = partition_interleaved(cfg, interleave)
-    base_width = _group_width(cfg, interleave)
+    layout = partition_interleaved(cfg, interleave)
     if n_samples is None:
         traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave)
     else:
         traj = sample_trajectory(q1, q2, ap_dir, n_samples)
     length = trajectory_length(traj)
-    s = subdivision_level(length, base_width, interleave)
-    layout = base
-    for _ in range(s):
+    for _ in range(subdivision_level(length, layout.beam_width, interleave)):
         layout = partition_localized(layout)
     while True:
-        width = base_width * 2.0**s
-        cover = cover_points(traj, width / 2.0, delayed_first=delayed_first)
+        cover = cover_points(traj, layout.beam_width / 2.0, delayed_first=delayed_first)
         if len(cover.centers) <= layout.n_sub:
             break
-        s += 1
         layout = partition_localized(layout)
 
     assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
@@ -425,7 +413,7 @@ def covrage_plan(
         layout=layout,
         assignment=assignment,
         trajectory=traj,
-        coverage=CoverageParams(width, interleave, s),
+        coverage=CoverageParams(layout.beam_width, interleave, layout.subdivisions),
         extrapolated=cover.extrapolated,
         sync_skipped=skipped,
     )

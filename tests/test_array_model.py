@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,82 @@ def test_localized_partition_errors():
         partition_localized(partition_interleaved(ArrayConfig(), 1), factor=9)
 
 
+@pytest.mark.parametrize("nx,ny", [(12, 8), (8, 12)])
+def test_localized_partition_checks_both_sides(nx, ny):
+    twice = partition_localized(partition_localized(partition_interleaved(ArrayConfig(nx=nx, ny=ny), 1)))
+    assert {twice.side_x, twice.side_y} == {2, 3}
+    with pytest.raises(ConfigError, match=f"groups of {nx // 4}x{ny // 4} cannot be halved"):
+        partition_localized(twice)
+
+
+@st.composite
+def layouts(draw, mi, depth):
+    """A layout of a non-square array whose sides halve ``depth`` times."""
+    unit = math.isqrt(mi) << depth
+    a = draw(st.integers(1, max(2, 96 // unit)))
+    b = draw(st.integers(1, max(2, 96 // unit)).filter(lambda b: b != a))
+    layout = partition_interleaved(ArrayConfig(nx=a * unit, ny=b * unit), mi)
+    for _ in range(depth):
+        layout = partition_localized(layout)
+    return layout
+
+
+def chained_origins(layout):
+    """Origins by chaining quadrant splits: child q of k sits stride*(q%2*hx, q//2*hy) on."""
+    m, cfg = layout.stride, layout.config
+    origins = [(k % m, k // m) for k in range(layout.interleave_factor)]
+    hx, hy = cfg.nx // m, cfg.ny // m
+    for _ in range(layout.subdivisions):
+        hx, hy = hx // 2, hy // 2
+        origins = [(ox + m * (q % 2) * hx, oy + m * (q // 2) * hy) for ox, oy in origins for q in range(4)]
+    return origins
+
+
+LAYOUT_SHAPES = pytest.mark.parametrize("mi,depth", [(mi, d) for mi in (1, 4, 16) for d in range(4)])
+
+
+@LAYOUT_SHAPES
+@settings(max_examples=8)
+@given(data=st.data())
+def test_layout_index_arrays_match_enumeration_oracle(mi, depth, data):
+    layout = data.draw(layouts(mi, depth))
+    m, hx, hy = layout.stride, layout.side_x, layout.side_y
+    origins = chained_origins(layout)
+    assert layout.n_sub == len(origins)
+    # A split halves the sides, so it doubles the group's beam width.
+    base = beamwidth_uv(min(layout.config.nx, layout.config.ny) // m, layout.spacing_wl)
+    assert layout.beam_width == pytest.approx(base * 2**depth, rel=1e-14)
+    np.testing.assert_array_equal(layout.origins, origins)
+    covered = np.zeros((layout.config.nx, layout.config.ny), dtype=int)
+    lx, ly = np.arange(hx), np.arange(hy)
+    for k, (ox, oy) in enumerate(origins):
+        assert layout.origin(k) == (ox, oy)
+        # x = origin_x + stride * local_x, and likewise for y.
+        cells = np.ix_(ox + m * lx, oy + m * ly)
+        assert (layout.sub_index[cells] == k).all()
+        np.testing.assert_array_equal(layout.local_x[cells], np.broadcast_to(lx[:, None], (hx, hy)))
+        np.testing.assert_array_equal(layout.local_y[cells], np.broadcast_to(ly[None, :], (hx, hy)))
+        covered[cells] += 1
+    assert (covered == 1).all()
+    for name in ("sub_index", "local_x", "local_y", "origins"):
+        assert not getattr(layout, name).flags.writeable
+
+
+def test_layout_arithmetic_allocates_no_element_arrays():
+    tracemalloc.start()
+    try:
+        layout = partition_interleaved(ArrayConfig(nx=2048, ny=2048), 4)
+        for _ in range(3):
+            layout = partition_localized(layout)
+        assert (layout.n_sub, layout.side_x) == (256, 128)
+        assert layout.spacing_wl == pytest.approx(0.5)
+        assert layout.origin(255) == (1 + 2 * 7 * 128, 1 + 2 * 7 * 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # Composition and origin corrections
 
@@ -323,6 +400,36 @@ def test_compose_full_awv_validation():
         compose_full_awv([sub] * 3, [1.0] * 3, layout)
     with pytest.raises(ValueError):
         compose_full_awv([sub] * 4, [1.0, 1.0, 1.0, 0.5], layout)
+
+
+def test_compose_full_awv_rejects_wrong_group_shape():
+    layout = partition_interleaved(ArrayConfig(), 4)
+    sub = steering_weights((17, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    with pytest.raises(ValueError, match="16x16"):
+        compose_full_awv([sub] * 4, [1.0] * 4, layout)
+
+
+@LAYOUT_SHAPES
+@settings(max_examples=8)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_compose_full_awv_equals_element_scatter(mi, depth, data, seed):
+    layout = data.draw(layouts(mi, depth))
+    rng = np.random.default_rng(seed)
+    subs = [random_awv(rng, layout.side_x, layout.side_y) for _ in range(layout.n_sub)]
+    shifts = np.exp(2j * np.pi * rng.uniform(size=layout.n_sub))
+    m = layout.stride
+    shift_at = np.zeros((layout.config.nx, layout.config.ny), dtype=complex)
+    weight_at = np.zeros_like(shift_at)
+    for k, (ox, oy) in enumerate(chained_origins(layout)):
+        for lx in range(layout.side_x):
+            for ly in range(layout.side_y):
+                shift_at[ox + m * lx, oy + m * ly] = shifts[k]
+                weight_at[ox + m * lx, oy + m * ly] = subs[k].weights[lx, ly]
+    # One numpy multiply forms the products: numpy's vectorised complex
+    # multiply may round differently from Python's scalar one.
+    full = compose_full_awv(subs, shifts, layout)
+    assert np.array_equal(full.weights, shift_at * weight_at)
+    assert not full.weights.flags.writeable
 
 
 def test_origin_corrections_recover_full_aperture_steering():
@@ -386,6 +493,21 @@ def test_quantize_phases_idempotent():
     once = quantize_phases(awv, 3)
     twice = quantize_phases(once, 3)
     np.testing.assert_allclose(once.weights, twice.weights, atol=1e-12)
+
+
+def test_steered_and_quantized_weights_are_read_only():
+    awv = steering_weights((8, 6), 0.5, SteeringDirection.from_uv(UvPoint(0.3, -0.2)))
+    for w in (awv.weights, quantize_phases(awv, 3).weights):
+        assert w.flags.c_contiguous and not w.flags.writeable
+        np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
+
+
+def test_quantize_phases_bit_range():
+    awv = random_awv(np.random.default_rng(32), 4, 4)
+    np.testing.assert_allclose(quantize_phases(awv, 52).weights, awv.weights, atol=1e-14)
+    for bits in (0, 53, 5000):
+        with pytest.raises(ConfigError, match="1 to 52 bits"):
+            quantize_phases(awv, bits)
 
 
 def test_peak_gain_finds_steered_maximum():

@@ -351,6 +351,7 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         ({"orientation_end": [float("-inf"), 0.0, 0.0, 0.0]}, "-Infinity"),
         ({"interleave": 3, "strategy": "baseline-start"}, "interleave"),
         ({"interleave": 9, "strategy": "baseline-start"}, "array 32x32 does not divide into 3x3 interleaves"),
+        ({"phase_bits": 5000}, "phase_bits must be between 1 and 52"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
@@ -424,6 +425,18 @@ def test_bad_mcs_table_names_row(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(STATIC, mcs_table_path="rates.csv"))
     assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
     assert "row 3" in capsys.readouterr().err
+
+
+def test_non_finite_mcs_table_exits_two(tmp_path, capsys):
+    (tmp_path / "rates.csv").write_text(
+        "index,sensitivity_dbm,datarate_mbps\n0,-78,27.5\n1,-68,inf\n"
+    )
+    cfg = write_config(tmp_path, dict(STATIC, mcs_table_path="rates.csv"))
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+    assert "row 3: sensitivity and datarate must be finite" in err
 
 
 def test_version_flag():

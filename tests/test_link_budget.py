@@ -173,6 +173,21 @@ def test_load_mcs_table_bad_row_names_line():
         load_mcs_table(io.StringIO("index,sensitivity_dbm,datarate_mbps\n0,-78\n"))
 
 
+@pytest.mark.parametrize(
+    "rows,needle",
+    [
+        ("0,nan,27.5\n1,-68,385", "row 2"),
+        ("0,-78,27.5\n1,-68,inf", "row 3"),
+        ("0,-78,27.5\n1,-Infinity,385", "row 3"),
+        ("0,-78,27.5\n1,-68,385\n2,-66,NaN", "row 4"),
+    ],
+)
+def test_load_mcs_table_rejects_non_finite_cells(rows, needle):
+    text = f"index,sensitivity_dbm,datarate_mbps\n{rows}\n"
+    with pytest.raises(ConfigError, match=f"{needle}: sensitivity and datarate must be finite"):
+        load_mcs_table(io.StringIO(text))
+
+
 def test_load_mcs_table_requires_increasing_sensitivity():
     text = "index,sensitivity_dbm,datarate_mbps\n0,-78,27.5\n1,-78,385\n"
     with pytest.raises(ConfigError, match="increase"):
