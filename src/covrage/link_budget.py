@@ -54,6 +54,15 @@ class LinkParams:
             raise ConfigError("carrier frequency must be positive")
         if self.path_loss_exponent <= 0.0:
             raise ConfigError("path-loss exponent must be positive")
+        try:
+            loss = path_loss(self.distance_m, self)
+        except ValueError:  # log10 of a free-space ratio that underflowed to 0
+            loss = math.nan
+        if not math.isfinite(loss):
+            raise ConfigError(
+                "link path loss at distance_m is not finite: check distance_m, "
+                "reference_distance_m, reference_loss_db, frequency_hz and path_loss_exponent"
+            )
 
 
 def friis_reference_loss(frequency_hz: float, distance_m: float = 1.0) -> float:

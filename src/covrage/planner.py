@@ -197,7 +197,9 @@ def cover_points(
     n = len(pts)
     if half_width <= 0.0:
         raise ValueError("half_width must be positive")
-    h2 = (half_width + COVERAGE_SLACK) ** 2
+    # No two points of the unit disc are more than 2 apart, so a wider radius
+    # covers the same points; the cap keeps the square finite.
+    h2 = (min(half_width, 2.0) + COVERAGE_SLACK) ** 2
 
     def near(a: Sequence[float], b: Sequence[float]) -> bool:
         dx = a[0] - b[0]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from covrage import cli, harness
 from covrage.cli import main
@@ -198,6 +199,53 @@ def test_column_text_matches_per_cell_format(tmp_path):
         assert rows == ["# head"] + [f"{cell(x)},a,{k}" for k, x in enumerate(column)]
 
 
+def percent_text(x):
+    """The reference rendering: ``%`` after ``+ 0.0``, with NaN written as ``out``."""
+    return "out" if math.isnan(x) else "%.10g" % (x + 0.0)
+
+
+def bits_to_float(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1).map(bits_to_float), min_size=1, max_size=64))
+@example([math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 0.0, -0.0])
+def test_float_text_matches_percent_on_bit_patterns(values):
+    # Short runs are formatted one value at a time; repeats reach the vectorised path.
+    for run in (values, values * (cli._VECTOR_MIN // len(values) + 1)):
+        assert cli._text(np.array(run)) == [percent_text(x) for x in run]
+
+
+FORMAT_TABLE = [
+    1234567890.5, 1234567891.5, 12345678905.0, 9999999999.5, 99999999995.0,
+    9.9999999995e-5, 1e-4, 1e10, 5e-324,
+    *(float(f"1e{p}") for p in range(-300, 301)),
+    # Decimal ties: the nearest double lies within about 1e-6 of M's half-integer.
+    *(float(f"{d}.2345678905e{p}") for d in (1, 9) for p in range(-280, 281, 7)),
+]
+
+
+def test_float_text_table_matches_percent():
+    values = np.array(FORMAT_TABLE)
+    assert cli._text(values) == [percent_text(x) for x in values]
+    assert cli._text(-values) == [percent_text(-x) for x in values]
+
+
+def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
+    # Full blocks render their floats vectorised, the short last one per cell.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    n = 400
+    index = np.arange(n)
+    mcs = [-1 if k % 5 == 0 else k % 13 for k in range(n)]
+    ablation = ["" if k % 3 else "no_sync" for k in range(n)]
+    gain = np.where(index % 4 == 1, np.nan, (index - 11.0) / 3.0)
+    cli.write_table(tmp_path / "t.csv", ["# head", "a,b,c,d"], [index, mcs, ablation, gain])
+    want = ["# head", "a,b,c,d"] + [
+        f"{k},{mcs[k]},{ablation[k]},{percent_text(gain[k])}" for k in range(n)
+    ]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
 def scenario_of(cfg):
     args = argparse.Namespace(strategy=None, ablation=None, seed=None)
     return cli.load_scenario(cfg, args)[0]
@@ -236,6 +284,16 @@ def test_gainmap_csv_matches_per_cell_rendering(tmp_path, monkeypatch, resolutio
         for i in range(resolution) for j in range(resolution)
     ]
     assert (out / "gainmap.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_tiny_spacing_sweeps_to_finite_numbers(tmp_path):
+    # The sub-beam half-width is about 1e300 here.
+    cfg = write_config(tmp_path, {"array": {"spacing_wavelengths": 1e-300}})
+    out = tmp_path / "out"
+    assert run("sweep", "--config", cfg, "--out-dir", out) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert rows
+    assert all(math.isfinite(float(value)) for row in rows for value in row.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +410,9 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         ({"interleave": 3, "strategy": "baseline-start"}, "interleave"),
         ({"interleave": 9, "strategy": "baseline-start"}, "array 32x32 does not divide into 3x3 interleaves"),
         ({"phase_bits": 5000}, "phase_bits must be between 1 and 52"),
+        ({"link": {"distance_m": 1e308, "reference_distance_m": 1e-300}}, "link path loss"),
+        ({"link": {"reference_loss_db": None, "reference_distance_m": 1e308}}, "link path loss"),
+        ({"link": {"reference_loss_db": None, "frequency_hz": 1e-300}}, "link path loss"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
