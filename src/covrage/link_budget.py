@@ -63,6 +63,12 @@ class LinkParams:
                 "link path loss at distance_m is not finite: check distance_m, "
                 "reference_distance_m, reference_loss_db, frequency_hz and path_loss_exponent"
             )
+        # Received power is eirp_dbm - loss plus a bounded array gain.
+        if not math.isfinite(self.eirp_dbm - loss):
+            raise ConfigError(
+                "link eirp_dbm minus the path loss at distance_m is not finite: check eirp_dbm "
+                "and reference_loss_db"
+            )
 
 
 def friis_reference_loss(frequency_hz: float, distance_m: float = 1.0) -> float:

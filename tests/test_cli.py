@@ -127,6 +127,16 @@ def test_sweep_env_var_out_dir(tmp_path, monkeypatch):
     assert (target / "sweep.csv").exists()
 
 
+def test_main_runs_a_command_wrapped_after_its_first_call(tmp_path, monkeypatch):
+    # The parser is built once; a wrapper set on the module later, as a profiler sets one, must run.
+    cfg = write_config(tmp_path, STATIC)
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "a") == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.command) or 0)
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "b") == 0
+    assert seen == ["sweep"]
+
+
 # ---------------------------------------------------------------------------
 # gainmap
 
@@ -211,9 +221,7 @@ def bits_to_float(bits):
 @given(st.lists(st.integers(0, 2**64 - 1).map(bits_to_float), min_size=1, max_size=64))
 @example([math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 0.0, -0.0])
 def test_float_text_matches_percent_on_bit_patterns(values):
-    # Short runs are formatted one value at a time; repeats reach the vectorised path.
-    for run in (values, values * (cli._VECTOR_MIN // len(values) + 1)):
-        assert cli._text(np.array(run)) == [percent_text(x) for x in run]
+    assert cli._text(np.array(values)) == [percent_text(x) for x in values]
 
 
 FORMAT_TABLE = [
@@ -232,16 +240,18 @@ def test_float_text_table_matches_percent():
 
 
 def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
-    # Full blocks render their floats vectorised, the short last one per cell.
+    # Two full blocks and a short last one.
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
     n = 400
     index = np.arange(n)
     mcs = [-1 if k % 5 == 0 else k % 13 for k in range(n)]
     ablation = ["" if k % 3 else "no_sync" for k in range(n)]
     gain = np.where(index % 4 == 1, np.nan, (index - 11.0) / 3.0)
-    cli.write_table(tmp_path / "t.csv", ["# head", "a,b,c,d"], [index, mcs, ablation, gain])
-    want = ["# head", "a,b,c,d"] + [
-        f"{k},{mcs[k]},{ablation[k]},{percent_text(gain[k])}" for k in range(n)
+    # A second float column, of other widths, is rendered in the same pass as the first.
+    rate = np.where(index % 7 == 0, -0.0, (index - 200) * 1.5e7)
+    cli.write_table(tmp_path / "t.csv", ["# head", "a,b,c,d,e"], [index, gain, mcs, ablation, rate])
+    want = ["# head", "a,b,c,d,e"] + [
+        f"{k},{percent_text(gain[k])},{mcs[k]},{ablation[k]},{percent_text(rate[k])}" for k in range(n)
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
@@ -413,6 +423,8 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         ({"link": {"distance_m": 1e308, "reference_distance_m": 1e-300}}, "link path loss"),
         ({"link": {"reference_loss_db": None, "reference_distance_m": 1e308}}, "link path loss"),
         ({"link": {"reference_loss_db": None, "frequency_hz": 1e-300}}, "link path loss"),
+        ({"link": {"eirp_dbm": -1e308, "reference_loss_db": 1e308}}, "link eirp_dbm"),
+        ({"link": {"eirp_dbm": 1e308, "reference_loss_db": -1e308}}, "link eirp_dbm"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
