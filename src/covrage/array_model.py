@@ -41,6 +41,9 @@ HALF_POWER_CONSTANT = 0.886
 # so a finer step falls below the resolution of a phase.
 MAX_PHASE_BITS = 52
 
+# Points per axis of the peak search's coarse sine-space grid.
+PEAK_GRID = 512
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -172,6 +175,11 @@ class SubArrayLayout:
         """Half-power width of one group's beam in sine space (doubles per split)."""
         return beamwidth_uv(min(self.side_x, self.side_y), self.spacing_wl)
 
+    @property
+    def half_width(self) -> float:
+        """Coverage radius of one group's beam: half its half-power width."""
+        return self.beam_width / 2.0
+
     def origin(self, k):
         """Full-array (x, y) of group k's local (0, 0) element; k may be an array."""
         m, d = self.stride, self.subdivisions
@@ -223,15 +231,13 @@ def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:
     return SubArrayLayout(cfg, mi, 0)
 
 
-def partition_localized(layout: SubArrayLayout, factor: int = 4) -> SubArrayLayout:
+def partition_localized(layout: SubArrayLayout) -> SubArrayLayout:
     """Subdivide every group of ``layout`` into its four quadrant blocks.
 
     Children of group k are k*4 + (0..3), row-major over (half-x, half-y); the
     lattice stride is untouched so the effective pitch stays the same while the
     side halves.
     """
-    if factor != 4:
-        raise ConfigError("only quadrant subdivision (factor 4) is supported")
     return SubArrayLayout(layout.config, layout.interleave_factor, layout.subdivisions + 1)
 
 
@@ -358,28 +364,19 @@ def coefficient_grid(awv: Awv, u: np.ndarray, v: np.ndarray, spacing_wl: float) 
     return eu.T @ (awv.weights @ ev)
 
 
-def check_peak_resolution(resolution: int) -> None:
-    """Reject a peak-search grid coarser than 16x16."""
-    if resolution < 16:
-        raise ConfigError("peak search needs a grid of at least 16x16")
-
-
-def peak_gain(
-    awv: Awv, spacing_wl: float, resolution: int = 512
-) -> tuple[float, UvPoint]:
+def peak_gain(awv: Awv, spacing_wl: float) -> tuple[float, UvPoint]:
     """Maximum gain over the front hemisphere and where it occurs.
 
-    Coarse scan on a resolution^2 UV grid masked to the unit disc, then a few
-    shrinking local grid refinements around the best cell.
+    Coarse scan on a ``PEAK_GRID``-squared UV grid masked to the unit disc,
+    then a few shrinking local grid refinements around the best cell.
     """
-    check_peak_resolution(resolution)
-    axis = np.linspace(-1.0, 1.0, resolution)
+    axis = np.linspace(-1.0, 1.0, PEAK_GRID)
     power = np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2
     power[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = 0.0
     iu, iv = np.unravel_index(int(np.argmax(power)), power.shape)
     best_u, best_v = float(axis[iu]), float(axis[iv])
     best_p = float(power[iu, iv])
-    box = 2.0 / (resolution - 1)
+    box = 2.0 / (PEAK_GRID - 1)
     for _ in range(3):
         gu = np.clip(np.linspace(best_u - box, best_u + box, 17), -1.0, 1.0)
         gv = np.clip(np.linspace(best_v - box, best_v + box, 17), -1.0, 1.0)

@@ -5,8 +5,9 @@ output file starts with a schema-version line, a run manifest is written
 before any other output, and identical invocations produce byte-identical
 files (no timestamps, fixed float formatting).
 
-Exit codes: 0 success, 2 config errors, 3 model-domain errors such as a
-trajectory leaving the front hemisphere.
+Exit codes: 0 success, 2 config errors (a config whose arrays do not fit in
+memory among them), 3 model-domain errors such as a trajectory leaving the
+front hemisphere.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ def _write(path: Path, text: str) -> None:
 
 # Rows per write: amortises the rendering work without building a file-sized string.
 _BLOCK_ROWS = 1 << 16
-
-
-def _text(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every float in ``values``, with NaN written as ``out``, as the data files write it."""
-    from .csvtext import cells
-
-    (matrix,) = cells([np.asarray(values, dtype=np.float64)])
-    return [t.decode() for t in matrix.view(f"S{matrix.shape[1]}").ravel().tolist()]
 
 
 class _Axis:
@@ -289,12 +282,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     built = build_beam(sc)
     plan = built.plan
     assert plan is not None
+    layout = plan.layout
     print(f"beams: {plan.n_beams}")
-    print(
-        f"groups: {plan.layout.n_sub} "
-        f"(interleave {plan.coverage.interleaved}, subdivisions {plan.coverage.subdivisions})"
-    )
-    print(f"sub-beam width: {_fmt(plan.coverage.width)}")
+    print(f"groups: {layout.n_sub} (interleave {layout.interleave_factor}, subdivisions {layout.subdivisions})")
+    print(f"sub-beam width: {_fmt(layout.beam_width)}")
     print(f"trajectory: {len(plan.trajectory)} samples, length {_fmt(trajectory_length(plan.trajectory))}")
     for k, (center, subs) in enumerate(zip(plan.beam_centers, plan.assignment)):
         ids = ",".join(str(s) for s in subs)
@@ -426,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CovrageError, ValueError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"config error: out of memory{detail}; use a smaller array, n_samples or resolution", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .array_model import (
     Awv,
     SteeringDirection,
     beamwidth_uv,
-    check_peak_resolution,
     coefficient_grid,
     coefficient_points,
     partition_interleaved,
@@ -66,6 +65,9 @@ STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
 # Clamp used by external plotting of gain maps; recorded in CLI output metadata.
 DISPLAY_CLAMP_DBI = 30.0
+
+# Relative tolerance on the path length of a constructed head turn.
+LENGTH_REL_TOL = 0.005
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,6 @@ class BeamBuild:
     trajectory: Trajectory
 
 
-def scenario_trajectory(sc: Scenario) -> Trajectory:
-    """The sampled apparent AP path all strategies of one scenario share."""
-    if sc.n_samples is not None:
-        return sample_trajectory(
-            sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.n_samples
-        )
-    return plan_trajectory(
-        sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array, sc.interleave
-    )
-
-
 def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
     if sc.strategy == "baseline-start":
         return traj[0]
@@ -155,7 +146,10 @@ def build_beam(sc: Scenario) -> BeamBuild:
         )
         traj = plan.trajectory
     else:
-        traj = scenario_trajectory(sc)
+        traj = plan_trajectory(
+            sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array,
+            sc.interleave, sc.n_samples,
+        )
         direction = SteeringDirection.from_uv(_baseline_target(sc, traj))
         awv = steering_weights(
             (sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, direction
@@ -181,7 +175,6 @@ class SweepResult:
     mcs: tuple[McsEntry, ...]
     awv: Awv
     spacing_wl: float
-    peak_resolution: int
 
     def __post_init__(self) -> None:
         n = len(self.trajectory)
@@ -195,7 +188,7 @@ class SweepResult:
 
     @functools.cached_property
     def _peak(self) -> tuple[float, UvPoint, np.ndarray]:
-        g_max, peak_uv = peak_gain(self.awv, self.spacing_wl, self.peak_resolution)
+        g_max, peak_uv = peak_gain(self.awv, self.spacing_wl)
         best = int(np.argmax(self.gain_dbi))
         if self.gain_dbi[best] > g_max:
             # The grid search can step over a beam narrower than its cell.
@@ -244,10 +237,8 @@ def sweep_trajectory(
     link: LinkParams,
     spacing_wl: float,
     mcs_table: tuple[McsEntry, ...] | None = None,
-    peak_resolution: int = 512,
 ) -> SweepResult:
     """Receive gain, received power, and rate along a path; the peak on first read."""
-    check_peak_resolution(peak_resolution)  # fail here, not at the first peak read
     table = mcs_table if mcs_table is not None else default_mcs_table()
     coeff = coefficient_points(awv, trajectory.u_array(), trajectory.v_array(), spacing_wl)
     power = np.abs(coeff) ** 2
@@ -262,7 +253,6 @@ def sweep_trajectory(
         mcs=mcs,
         awv=awv,
         spacing_wl=spacing_wl,
-        peak_resolution=peak_resolution,
     )
 
 
@@ -294,11 +284,7 @@ def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
 
 
 def _rotation_for_length(
-    q1: Quaternion,
-    axis: tuple[float, float, float],
-    ap_dir: UvPoint,
-    target: float,
-    rel_tol: float = 0.005,
+    q1: Quaternion, axis: tuple[float, float, float], ap_dir: UvPoint, target: float
 ) -> Quaternion | None:
     """End orientation making the sampled path length hit target, else None.
 
@@ -331,7 +317,7 @@ def _rotation_for_length(
             lo = mid
     angle = 0.5 * (lo + hi)
     reached = length_at(angle)
-    if reached is None or abs(reached - target) > rel_tol * target:
+    if reached is None or abs(reached - target) > LENGTH_REL_TOL * target:
         return None
     rot = Quaternion.from_axis_angle(axis, angle)
     return hamilton_product(rot.conjugate(), q1)
@@ -408,7 +394,7 @@ _VARIANTS = (
 )
 
 
-def _compare_row(sc: Scenario, strategy: str, ablation: str, peak_resolution: int) -> CompareRow:
+def _compare_row(sc: Scenario, strategy: str, ablation: str) -> CompareRow:
     variant = dataclasses.replace(
         sc,
         strategy=strategy,
@@ -422,23 +408,20 @@ def _compare_row(sc: Scenario, strategy: str, ablation: str, peak_resolution: in
         variant.link,
         variant.array.spacing_wavelengths,
         variant.mcs_table,
-        peak_resolution,
     )
     beams = built.plan.n_beams if built.plan is not None else 1
     return CompareRow(strategy, ablation, beams, result)
 
 
-def iter_strategies(sc: Scenario, peak_resolution: int = 512) -> Iterator[CompareRow]:
+def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
     """Every strategy plus both ablations on one scenario, one row at a time.
 
     Each row holds its variant's weight vector, so a caller that drops a row
     before taking the next keeps one large array's weights alive, not six.
-    A bad peak_resolution fails at this call, not at the first row.
     """
-    check_peak_resolution(peak_resolution)
-    return (_compare_row(sc, s, a, peak_resolution) for s, a in _VARIANTS)
+    return (_compare_row(sc, s, a) for s, a in _VARIANTS)
 
 
-def compare_strategies(sc: Scenario, peak_resolution: int = 512) -> list[CompareRow]:
+def compare_strategies(sc: Scenario) -> list[CompareRow]:
     """Run every strategy plus both ablations on one scenario's trajectory."""
-    return list(iter_strategies(sc, peak_resolution))
+    return list(iter_strategies(sc))

@@ -62,35 +62,6 @@ SYNC_MAGNITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class CoverageParams:
-    """Effective sub-beam geometry a plan was built against."""
-
-    width: float
-    interleaved: int
-    subdivisions: int
-
-    def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise ValueError("sub-beam width must be positive")
-        if self.interleaved < 1 or self.subdivisions < 0:
-            raise ValueError("invalid coverage parameters")
-
-    @property
-    def half_width(self) -> float:
-        return self.width / 2.0
-
-
-@dataclass(frozen=True)
-class SteeredBeam:
-    """One sub-beam: its center, steering, assigned groups, and local weights."""
-
-    center: UvPoint
-    direction: SteeringDirection
-    sub_ids: tuple[int, ...]
-    awv: Awv
-
-
-@dataclass(frozen=True)
 class BeamPlan:
     """Complete plan: centers, overlap points, per-beam shifts, group layout."""
 
@@ -100,7 +71,6 @@ class BeamPlan:
     layout: SubArrayLayout
     assignment: tuple[tuple[int, ...], ...]
     trajectory: Trajectory
-    coverage: CoverageParams
     extrapolated: bool
     sync_skipped: tuple[int, ...]
 
@@ -120,9 +90,13 @@ class BeamPlan:
         return len(self.beam_centers)
 
     @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """How many groups reinforce each beam."""
-        return tuple(len(g) for g in self.assignment)
+    def coverage(self) -> SubArrayLayout:
+        """``layout`` under a second name: the layout alone fixes sub-beam width and depth.
+
+        ``tests/test_acceptance.py`` reads ``plan.coverage.half_width`` and
+        ``perfbench/checks.py`` reads ``plan.coverage.subdivisions``.
+        """
+        return self.layout
 
 
 class CoverResult(NamedTuple):
@@ -170,13 +144,7 @@ def allocate_sub_arrays(n_beams: int, n_groups: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(g) for g in groups)
 
 
-def cover_points(
-    trajectory: Trajectory,
-    half_width: float,
-    *,
-    delayed_first: bool = False,
-    extrapolation_cap_factor: int = EXTRAPOLATION_CAP_FACTOR,
-) -> CoverResult:
+def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bool = False) -> CoverResult:
     """Place beam centers so every trajectory sample lies within half_width of one.
 
     Walks the samples in order. The first beam sits on the first sample (or,
@@ -190,7 +158,7 @@ def cover_points(
     If the candidate walk runs off the end of the samples, the path is
     extended by repeating the final step vector, so the last beam can land
     ahead of the sampled motion. The extension stops at the lock condition,
-    the unit disc, or extrapolation_cap_factor times the sample count,
+    the unit disc, or EXTRAPOLATION_CAP_FACTOR times the sample count,
     whichever comes first.
     """
     pts = trajectory.uv.tolist()
@@ -228,7 +196,7 @@ def cover_points(
     else:
         step_x = step_y = 0.0
     has_step = step_x * step_x + step_y * step_y > 1e-30
-    max_extension = extrapolation_cap_factor * n
+    max_extension = EXTRAPOLATION_CAP_FACTOR * n
 
     anchor = pts[0]
     i = 1
@@ -288,11 +256,13 @@ def cover_points(
 
 
 def phase_sync(
-    beams: Sequence[SteeredBeam],
+    awvs: Sequence[Awv],
     overlap_points: Sequence[UvPoint],
     layout: SubArrayLayout,
 ) -> tuple[tuple[complex, ...], tuple[int, ...]]:
     """Unit shifts aligning each beam's phase with its predecessor at the overlap.
+
+    ``awvs`` holds each beam's group-local weights, in beam order.
 
     Coefficients are evaluated in group-local coordinates at the layout's
     effective pitch, so reinforced beams (several groups, identical local
@@ -302,14 +272,14 @@ def phase_sync(
     the overlap have no usable phase; they keep a unit shift and are reported
     in the second return value.
     """
-    if len(overlap_points) != max(len(beams) - 1, 0):
+    if len(overlap_points) != max(len(awvs) - 1, 0):
         raise ValueError("expected exactly one overlap point between adjacent beams")
     shifts: list[complex] = [complex(1.0, 0.0)]
     skipped: list[int] = []
     for k, overlap in enumerate(overlap_points):
         e = uv_to_euler(overlap)
-        prev = shifts[k] * array_coefficient(beams[k].awv, e.phi, e.theta, layout.spacing_wl)
-        nxt = array_coefficient(beams[k + 1].awv, e.phi, e.theta, layout.spacing_wl)
+        prev = shifts[k] * array_coefficient(awvs[k], e.phi, e.theta, layout.spacing_wl)
+        nxt = array_coefficient(awvs[k + 1], e.phi, e.theta, layout.spacing_wl)
         if abs(prev) < SYNC_MAGNITUDE_FLOOR or abs(nxt) < SYNC_MAGNITUDE_FLOOR:
             shifts.append(complex(1.0, 0.0))
             skipped.append(k)
@@ -324,13 +294,17 @@ def plan_trajectory(
     ap_dir: UvPoint,
     cfg: ArrayConfig,
     interleave: int = 4,
+    n_samples: int | None = None,
 ) -> Trajectory:
     """Sample the apparent AP path densely enough for coverage planning.
 
-    A 64-sample probe estimates the path length and the quadrant-split depth;
-    if a tenth of the resulting beam width needs finer spacing, the path is
-    resampled at that density.
+    A fixed ``n_samples`` is taken as given. Otherwise a 64-sample probe
+    estimates the path length and the quadrant-split depth; if a tenth of the
+    resulting beam width needs finer spacing, the path is resampled at that
+    density.
     """
+    if n_samples is not None:
+        return sample_trajectory(q1, q2, ap_dir, n_samples)
     width = partition_interleaved(cfg, interleave).beam_width
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
     length = trajectory_length(probe)
@@ -353,7 +327,7 @@ def covrage_plan(
     interleave: int = 4,
     n_samples: int | None = None,
     delayed_first: bool = False,
-    sync_override: Sequence[complex] | Callable[[int], Sequence[complex]] | None = None,
+    sync_override: Callable[[int], Sequence[complex]] | None = None,
 ) -> tuple[Awv, BeamPlan]:
     """Full pipeline from an orientation pair to a composed weight vector.
 
@@ -363,50 +337,42 @@ def covrage_plan(
     into one full-array weight vector.
 
     The placed beam count is authoritative: if it exceeds the group budget the
-    split depth is raised and coverage rerun. sync_override replaces the
-    computed shifts (one unit phasor per beam, or a callable receiving the
-    beam count); the first shift is then taken from the override as well.
+    split depth is raised and coverage rerun. sync_override, called with the
+    beam count, replaces the computed shifts with one unit phasor per beam;
+    the first shift is then taken from the override as well.
     """
     layout = partition_interleaved(cfg, interleave)
-    if n_samples is None:
-        traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave)
-    else:
-        traj = sample_trajectory(q1, q2, ap_dir, n_samples)
+    traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave, n_samples)
     length = trajectory_length(traj)
     for _ in range(subdivision_level(length, layout.beam_width, interleave)):
         layout = partition_localized(layout)
     while True:
-        cover = cover_points(traj, layout.beam_width / 2.0, delayed_first=delayed_first)
+        cover = cover_points(traj, layout.half_width, delayed_first=delayed_first)
         if len(cover.centers) <= layout.n_sub:
             break
         layout = partition_localized(layout)
 
     assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
     shape = (layout.side_x, layout.side_y)
-    beams = []
-    for center, subs in zip(cover.centers, assignment):
-        direction = SteeringDirection.from_uv(center)
-        beams.append(
-            SteeredBeam(center, direction, subs, steering_weights(shape, layout.spacing_wl, direction))
-        )
+    directions = [SteeringDirection.from_uv(center) for center in cover.centers]
+    awvs = [steering_weights(shape, layout.spacing_wl, d) for d in directions]
 
     if sync_override is not None:
-        given = sync_override(len(beams)) if callable(sync_override) else sync_override
-        shifts = tuple(complex(v) for v in given)
-        if len(shifts) != len(beams):
-            raise ValueError(f"expected {len(beams)} shift overrides, got {len(shifts)}")
+        shifts = tuple(complex(v) for v in sync_override(len(awvs)))
+        if len(shifts) != len(awvs):
+            raise ValueError(f"expected {len(awvs)} shift overrides, got {len(shifts)}")
         if any(abs(abs(v) - 1.0) > 1e-9 for v in shifts):
             raise ValueError("shift overrides must be unit phasors")
         skipped: tuple[int, ...] = ()
     else:
-        shifts, skipped = phase_sync(beams, cover.overlaps, layout)
+        shifts, skipped = phase_sync(awvs, cover.overlaps, layout)
 
     sub_awvs: list[Awv | None] = [None] * layout.n_sub
     sub_shifts = np.zeros(layout.n_sub, dtype=complex)
-    for beam, shift in zip(beams, shifts):
-        for sidx in beam.sub_ids:
-            sub_awvs[sidx] = beam.awv
-            sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, beam.direction)
+    for subs, direction, weights, shift in zip(assignment, directions, awvs, shifts):
+        for sidx in subs:
+            sub_awvs[sidx] = weights
+            sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, direction)
     awv = compose_full_awv(sub_awvs, sub_shifts, layout)
     plan = BeamPlan(
         beam_centers=cover.centers,
@@ -415,7 +381,6 @@ def covrage_plan(
         layout=layout,
         assignment=assignment,
         trajectory=traj,
-        coverage=CoverageParams(layout.beam_width, interleave, layout.subdivisions),
         extrapolated=cover.extrapolated,
         sync_skipped=skipped,
     )

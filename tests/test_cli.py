@@ -1,15 +1,17 @@
 """End-to-end command-line checks: configs in, deterministic files out."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from covrage import cli, harness
+from covrage import cli, csvtext, harness
 from covrage.cli import main
 from covrage.harness import build_beam, gain_map
 
@@ -196,12 +198,18 @@ def cell(x):
     return "0" if x == 0.0 else format(x, ".10g")
 
 
+def text(values):
+    """Every float of ``values`` as the data files render it, one string each."""
+    (matrix,) = csvtext.cells([np.asarray(values, dtype=np.float64)])
+    return [t.decode() for t in matrix.view(f"S{matrix.shape[1]}").ravel().tolist()]
+
+
 EDGES = [-0.0, float("nan"), 5e-324, 1e-300, 1e16, 3.0, math.pi, -math.pi, 0.0, -1e-5, 123456.789012345]
 
 
 def test_column_text_matches_per_cell_format(tmp_path):
     values = np.concatenate([EDGES, np.random.default_rng(4).standard_normal(500) * 10.0 ** np.arange(-250, 250)])
-    assert list(cli._text(values)) == [cell(x) for x in values]
+    assert text(values) == [cell(x) for x in values]
     # The writer has one path for float columns holding NaN and one for the rest.
     for column in (values, values[~np.isnan(values)]):
         cli.write_table(tmp_path / "t.csv", ["# head"], [column, ["a"] * len(column), np.arange(len(column))])
@@ -221,7 +229,7 @@ def bits_to_float(bits):
 @given(st.lists(st.integers(0, 2**64 - 1).map(bits_to_float), min_size=1, max_size=64))
 @example([math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 0.0, -0.0])
 def test_float_text_matches_percent_on_bit_patterns(values):
-    assert cli._text(np.array(values)) == [percent_text(x) for x in values]
+    assert text(values) == [percent_text(x) for x in values]
 
 
 FORMAT_TABLE = [
@@ -235,8 +243,8 @@ FORMAT_TABLE = [
 
 def test_float_text_table_matches_percent():
     values = np.array(FORMAT_TABLE)
-    assert cli._text(values) == [percent_text(x) for x in values]
-    assert cli._text(-values) == [percent_text(-x) for x in values]
+    assert text(values) == [percent_text(x) for x in values]
+    assert text(-values) == [percent_text(-x) for x in values]
 
 
 def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
@@ -434,6 +442,70 @@ def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
     assert err.startswith("config error:")
     assert err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "gainmap"])
+@pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB for an array", ""])
+def test_out_of_memory_exits_two_with_one_line(tmp_path, monkeypatch, capsys, command, message):
+    def exhausted(sc):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_beam", exhausted)
+    cfg = write_config(tmp_path, MOVING)
+    assert run(command, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory")
+    assert err.count("\n") == 1
+    assert message in err
+
+
+LINK_VALUES = {
+    "eirp_dbm": [30.0, -1e308, 1e308],
+    "distance_m": [3.0, 0.0, -1.0, 1e308],
+    "reference_distance_m": [1.0, 1e-300, 1e308],
+    "reference_loss_db": [68.0, None, 1e308, -1e308],
+    "frequency_hz": [60e9, 1e-300],
+    "path_loss_exponent": [2.0, 0.0, 1e300],
+}
+SIDES = [4, 8, 12, 16, 24, 32]
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "array": st.fixed_dictionaries(
+            {"nx": st.sampled_from(SIDES), "ny": st.sampled_from(SIDES)},
+            optional={"spacing_wavelengths": st.just(1e-300) | st.floats(0.05, 2.0)},
+        ),
+        "orientation_end_euler_deg": st.lists(st.floats(-40.0, 40.0), min_size=3, max_size=3),
+        "ap_direction_deg": st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2),
+        "n_samples": st.none() | st.integers(2, 512),
+    },
+    optional={
+        "interleave": st.sampled_from([1, 4, 16, 0, -4, 3, 9]),
+        "phase_bits": st.sampled_from([None, 1, 2, 52, 0, 53]),
+        "link": st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in LINK_VALUES.items()}),
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CONFIG_DOCS)
+def test_config_documents_finish_cleanly(tmp_path_factory, doc):
+    # Every config ends in finite outputs (exit 0) or in one error line (exit 2 or 3).
+    tmp = tmp_path_factory.mktemp("doc")
+    cfg = write_config(tmp, doc)
+    for command in ("sweep", "compare"):
+        out = tmp / command
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(command, "--config", cfg, "--out-dir", out)
+        if code:
+            assert code in (2, 3)
+            assert err.getvalue().count("\n") == 1
+            continue
+        for table in out.glob("*.csv"):
+            rows = table.read_text().splitlines()[2:]
+            cells = {c.lower() for row in rows for c in row.split(",")}
+            assert not cells & {"out", "inf", "-inf", "nan"}, table.name
+        for doc_path in out.glob("*.json"):
+            json.loads(doc_path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {doc_path.name}"))
 
 
 def test_overflowing_number_is_not_infinity(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from covrage import harness
+from covrage import array_model, harness
 from covrage.array_model import (
     ArrayConfig,
     SteeringDirection,
@@ -27,7 +27,6 @@ from covrage.harness import (
     iter_strategies,
     random_head_rotation,
     reference_scenario,
-    scenario_trajectory,
     sweep_trajectory,
 )
 from covrage.link_budget import LinkParams
@@ -165,7 +164,7 @@ def test_delayed_first_shifts_only_the_first_center():
     p0 = normal.trajectory[0]
     d0 = math.hypot(delayed.plan.beam_centers[0].u - p0.u, delayed.plan.beam_centers[0].v - p0.v)
     assert d0 > 0.0
-    assert d0 <= delayed.plan.coverage.half_width + 1e-9
+    assert d0 <= delayed.plan.layout.half_width + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +196,14 @@ def test_sweep_result_metrics_are_consistent():
     assert res.peak_gain_dbi >= res.max_gain_dbi - 1e-9
 
 
-@pytest.mark.parametrize("n,peak_resolution", [(32, 512), (64, 16)])
-def test_sweep_peak_never_below_a_sample(n, peak_resolution):
+@pytest.mark.parametrize("n,peak_grid", [(32, 512), (64, 16)])
+def test_sweep_peak_never_below_a_sample(monkeypatch, n, peak_grid):
     # Baseline-start peaks exactly on sample 0, which no grid point hits; a
     # 16-point grid is far coarser than the 64x64 beam.
+    monkeypatch.setattr(array_model, "PEAK_GRID", peak_grid)
+    scanned = []
+    grid = array_model.coefficient_grid
+    monkeypatch.setattr(array_model, "coefficient_grid", lambda awv, u, *rest: scanned.append(len(u)) or grid(awv, u, *rest))
     sc = Scenario(
         array=ArrayConfig(n, n),
         orientation_end=Quaternion.from_axis_angle((0.0, 1.0, 0.0), 0.1),
@@ -209,14 +212,12 @@ def test_sweep_peak_never_below_a_sample(n, peak_resolution):
         strategy="baseline-start",
     )
     built = build_beam(sc)
-    res = sweep_trajectory(
-        built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths,
-        peak_resolution=peak_resolution,
-    )
+    res = sweep_trajectory(built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths)
     assert res.noise_penalty_db.min() >= 0.0
     assert res.peak_gain_dbi >= res.max_gain_dbi
     assert res.peak_gain_dbi == pytest.approx(20.0 * math.log10(n * n), abs=1e-9)
     assert res.peak_uv == built.trajectory[0]
+    assert scanned[0] == peak_grid  # the coarse scan ran on the patched grid
 
 
 @pytest.mark.parametrize("name", ["a", "b"])
@@ -237,7 +238,7 @@ def test_sweep_peak_searched_once_on_first_read(monkeypatch, name):
     assert res.noise_penalty_db is penalty
     assert len(calls) == 1
     # An eager search plus the best-sample rule.
-    g_max, g_uv = peak_gain(built.awv, spacing, 512)
+    g_max, g_uv = peak_gain(built.awv, spacing)
     best = int(np.argmax(res.gain_dbi))
     if res.gain_dbi[best] > g_max:
         g_max, g_uv = float(res.gain_dbi[best]), built.trajectory[best]
@@ -255,23 +256,6 @@ def test_sweep_noise_penalty_is_read_only():
         res.noise_penalty_db[0] = 0.0
     with pytest.raises(AttributeError):
         res.noise_penalty_db = np.zeros(len(built.trajectory))
-
-
-def test_bad_peak_resolution_fails_at_the_call():
-    sc = reference_scenario("a")
-    built = build_beam(sc)
-    with pytest.raises(ConfigError) as searched:
-        peak_gain(built.awv, sc.array.spacing_wavelengths, 15)
-    message = str(searched.value)
-    with pytest.raises(ConfigError) as swept:
-        sweep_trajectory(
-            built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, peak_resolution=15
-        )
-    assert str(swept.value) == message
-    for call in (compare_strategies, iter_strategies):
-        with pytest.raises(ConfigError) as compared:
-            call(sc, peak_resolution=15)
-        assert str(compared.value) == message
 
 
 def test_sweep_collinear_covrage_range_within_six_db():
@@ -341,7 +325,7 @@ def test_gain_map_composed_ridge_tracks_the_centers():
     gm = gain_map(built.awv, 256, 0.25)
     g = gm.gain_dbi
     top = np.nanmax(g)
-    width = built.plan.coverage.width
+    width = built.plan.layout.beam_width
     for c in built.plan.beam_centers:
         i = int(np.argmin(np.abs(gm.axis - c.u)))
         j = int(np.argmin(np.abs(gm.axis - c.v)))
@@ -359,7 +343,7 @@ def test_gain_map_mirror_symmetry_for_symmetric_weights():
     # static plan composes to exactly that) give a map symmetric in v.
     sc = Scenario(n_samples=8)  # static head: one reinforced beam at broadside
     built = build_beam(sc)
-    assert built.plan.multiplicities == (4,)
+    assert built.plan.assignment == ((0, 1, 2, 3),)
     gm = gain_map(built.awv, 128, 0.25)
     np.testing.assert_allclose(gm.gain_dbi, gm.gain_dbi[:, ::-1], atol=1e-6, equal_nan=True)
     # Same property for a plain u-axis steered full-aperture beam.

@@ -30,11 +30,9 @@ from covrage.link_budget import (
 ISOTROPIC = Awv(np.ones((1, 1)))
 
 
-def swept(awv, points, params=LinkParams(), spacing_wl=0.5, peak_resolution=512):
+def swept(awv, points, params=LinkParams(), spacing_wl=0.5):
     """Sweep ``awv`` over sine-space (u, v) points."""
-    return sweep_trajectory(
-        awv, Trajectory(points), params, spacing_wl, peak_resolution=peak_resolution
-    )
+    return sweep_trajectory(awv, Trajectory(points), params, spacing_wl)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def test_path_loss_monotone(d1, d2):
 
 
 def test_received_power_examples():
-    res = swept(ISOTROPIC, [[0.3, 0.1]], LinkParams(eirp_dbm=30.0, distance_m=1.0), peak_resolution=16)
+    res = swept(ISOTROPIC, [[0.3, 0.1]], LinkParams(eirp_dbm=30.0, distance_m=1.0))
     assert res.rx_power_dbm[0] == pytest.approx(-38.0)
     # 16x16 broadside coherent gain is 20 log10(256) = 48.16 dBi.
     broadside = steering_weights((16, 16), 0.5, SteeringDirection(0.0, 0.0))
@@ -99,7 +97,7 @@ def test_received_power_gain_linearity():
 
 
 def test_received_power_follows_link_distance():
-    res = swept(ISOTROPIC, [[0.0, 0.0]], LinkParams(eirp_dbm=30.0, distance_m=10.0), peak_resolution=16)
+    res = swept(ISOTROPIC, [[0.0, 0.0]], LinkParams(eirp_dbm=30.0, distance_m=10.0))
     assert res.rx_power_dbm[0] == pytest.approx(30.0 - 88.0)
 
 

@@ -22,8 +22,6 @@ from covrage.array_model import (
 from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory, uv_to_euler
 from covrage.planner import (
     BeamPlan,
-    CoverageParams,
-    SteeredBeam,
     allocate_sub_arrays,
     cover_points,
     covrage_plan,
@@ -259,10 +257,9 @@ def test_cover_random_arcs_every_sample_covered(seed):
 # phase_sync
 
 
-def make_beam(center: UvPoint, layout, group=(0,)) -> SteeredBeam:
+def make_beam(center: UvPoint, layout):
     d = SteeringDirection.from_uv(center)
-    awv = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
-    return SteeredBeam(center, d, group, awv)
+    return steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
 
 
 def test_phase_sync_identical_beams_unit_shift():
@@ -277,14 +274,14 @@ def test_phase_sync_aligns_phases_at_overlaps():
     layout = partition_interleaved(ArrayConfig(), 4)
     centers = [UvPoint(0.0, 0.0), UvPoint(0.1108, 0.0), UvPoint(0.2216, 0.0)]
     overlaps = [UvPoint(0.0554, 0.0), UvPoint(0.1662, 0.0)]
-    beams = [make_beam(c, layout, (k,)) for k, c in enumerate(centers)]
+    beams = [make_beam(c, layout) for c in centers]
     shifts, skipped = phase_sync(beams, overlaps, layout)
     assert skipped == ()
     assert shifts[0] == 1.0 + 0.0j
     for k, o in enumerate(overlaps):
         e = uv_to_euler(o)
-        prev = shifts[k] * array_coefficient(beams[k].awv, e.phi, e.theta, layout.spacing_wl)
-        nxt = shifts[k + 1] * array_coefficient(beams[k + 1].awv, e.phi, e.theta, layout.spacing_wl)
+        prev = shifts[k] * array_coefficient(beams[k], e.phi, e.theta, layout.spacing_wl)
+        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], e.phi, e.theta, layout.spacing_wl)
         # Shifted coefficients agree in phase: their sum is fully constructive.
         assert abs(prev + nxt) == pytest.approx(abs(prev) + abs(nxt), abs=1e-6)
         assert cmath.phase(prev / nxt) == pytest.approx(0.0, abs=1e-9)
@@ -295,7 +292,7 @@ def test_phase_sync_aligns_phases_at_overlaps():
 def test_phase_sync_skips_pattern_null():
     layout = partition_interleaved(ArrayConfig(), 4)
     # Broadside 16x16 at 0.5 pitch has a null at u = 0.125: no usable phase.
-    beams = [make_beam(UvPoint(0.0, 0.0), layout), make_beam(UvPoint(0.25, 0.0), layout, (1,))]
+    beams = [make_beam(UvPoint(0.0, 0.0), layout), make_beam(UvPoint(0.25, 0.0), layout)]
     shifts, skipped = phase_sync(beams, [UvPoint(0.125, 0.0)], layout)
     assert skipped == (0,)
     assert shifts == (1.0 + 0.0j, 1.0 + 0.0j)
@@ -350,7 +347,6 @@ def test_covrage_plan_static_head():
     awv, plan = covrage_plan(q, q, ap, cfg)
     assert plan.n_beams == 1
     assert plan.assignment == ((0, 1, 2, 3),)
-    assert plan.multiplicities == (4,)
     assert not plan.extrapolated
     assert plan.overlap_points == ()
     # All four groups reinforce one beam: the full aperture steered as one.
@@ -365,10 +361,11 @@ def test_covrage_plan_length_03_uses_four_single_beams():
     q1, q2, ap = collinear_pair(0.3)
     awv, plan = covrage_plan(q1, q2, ap, ArrayConfig())
     assert plan.n_beams == 4
-    assert plan.multiplicities == (1, 1, 1, 1)
-    assert plan.coverage.subdivisions == 0
-    assert plan.coverage.interleaved == 4
-    assert plan.coverage.width == pytest.approx(W16, abs=1e-12)
+    assert [len(groups) for groups in plan.assignment] == [1, 1, 1, 1]
+    assert plan.coverage is plan.layout
+    assert plan.layout.subdivisions == 0
+    assert plan.layout.interleave_factor == 4
+    assert plan.layout.beam_width == pytest.approx(W16, abs=1e-12)
     assert awv.shape == (32, 32)
     assert len(plan.sync_shifts) == 4
     assert plan.sync_shifts[0] == 1.0 + 0.0j
@@ -377,7 +374,7 @@ def test_covrage_plan_length_03_uses_four_single_beams():
 def test_covrage_plan_covers_every_sample():
     q1, q2, ap = collinear_pair(0.33)
     awv, plan = covrage_plan(q1, q2, ap, ArrayConfig())
-    half = plan.coverage.half_width
+    half = plan.layout.half_width
     for p in plan.trajectory:
         assert min(math.hypot(p.u - c.u, p.v - c.v) for c in plan.beam_centers) <= half + 1e-9
 
@@ -391,54 +388,51 @@ def test_covrage_plan_composition_scatter_oracle():
     group_shift = {}
     group_beam = {}
     for b, groups in enumerate(plan.assignment):
-        d = SteeredBeam(
-            plan.beam_centers[b],
-            SteeringDirection.from_uv(plan.beam_centers[b]),
-            groups,
-            steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, SteeringDirection.from_uv(plan.beam_centers[b])),
-        )
+        d = SteeringDirection.from_uv(plan.beam_centers[b])
+        weights = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
         for g in groups:
-            group_shift[g] = plan.sync_shifts[b] * origin_phase_correction(
-                layout, g, d.direction
-            )
-            group_beam[g] = d
+            group_shift[g] = plan.sync_shifts[b] * origin_phase_correction(layout, g, d)
+            group_beam[g] = weights
     expected = np.empty((cfg.nx, cfg.ny), dtype=complex)
     for x in range(cfg.nx):
         for y in range(cfg.ny):
             g = layout.sub_index[x, y]
             lx, ly = layout.local_x[x, y], layout.local_y[x, y]
-            expected[x, y] = group_shift[g] * group_beam[g].awv.weights[lx, ly]
+            expected[x, y] = group_shift[g] * group_beam[g].weights[lx, ly]
     np.testing.assert_allclose(awv.weights, expected, atol=1e-12)
 
 
-def test_covrage_plan_sync_override_sequence_and_callable():
+def test_covrage_plan_sync_override_callable():
     q1, q2, ap = collinear_pair(0.3)
     given_shifts = tuple(cmath.exp(1j * t) for t in (0.0, 0.4, -1.1, 2.2))
-    awv_seq, plan_seq = covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=given_shifts)
-    assert plan_seq.sync_shifts == pytest.approx(given_shifts)
-    assert plan_seq.sync_skipped == ()
-    awv_call, plan_call = covrage_plan(
-        q1, q2, ap, ArrayConfig(), sync_override=lambda count: given_shifts[:count]
-    )
-    np.testing.assert_allclose(awv_call.weights, awv_seq.weights, atol=1e-15)
+    counts = []
+
+    def override(count):
+        counts.append(count)
+        return given_shifts[:count]
+
+    _, plan = covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=override)
+    assert counts == [4]
+    assert plan.sync_shifts == pytest.approx(given_shifts)
+    assert plan.sync_skipped == ()
 
 
 def test_covrage_plan_sync_override_validation():
     q1, q2, ap = collinear_pair(0.3)
     with pytest.raises(ValueError, match="expected 4"):
-        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=(1.0, 1.0))
+        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0))
     with pytest.raises(ValueError, match="unit"):
-        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=(1.0, 1.0, 1.0, 0.5))
+        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0, 1.0, 0.5))
 
 
 def test_covrage_plan_subdivides_long_trajectory():
     q1, q2, ap = collinear_pair(0.5)
     awv, plan = covrage_plan(q1, q2, ap, ArrayConfig())
-    assert plan.coverage.subdivisions == 1
+    assert plan.layout.subdivisions == 1
     assert plan.layout.n_sub == 16
-    assert plan.coverage.width == pytest.approx(2.0 * W16, abs=1e-12)
+    assert plan.layout.beam_width == pytest.approx(2.0 * W16, abs=1e-12)
     assert plan.n_beams <= 16
-    half = plan.coverage.half_width
+    half = plan.layout.half_width
     for p in plan.trajectory:
         assert min(math.hypot(p.u - c.u, p.v - c.v) for c in plan.beam_centers) <= half + 1e-9
 
@@ -450,8 +444,7 @@ def test_covrage_plan_retry_splits_the_current_layout(monkeypatch):
     q1, q2, ap = collinear_pair(1.0)
     cfg = ArrayConfig()
     _, plan = covrage_plan(q1, q2, ap, cfg, interleave=1, n_samples=128)
-    assert plan.coverage.subdivisions == 2
-    assert plan.coverage.width == pytest.approx(4.0 * beamwidth_uv(32, 0.25), abs=1e-12)
+    assert plan.layout.beam_width == pytest.approx(4.0 * beamwidth_uv(32, 0.25), abs=1e-12)
     chained = partition_localized(partition_localized(partition_interleaved(cfg, 1)))
     assert plan.layout.subdivisions == chained.subdivisions == 2
     for name in ("sub_index", "local_x", "local_y", "origins"):
@@ -467,7 +460,7 @@ def test_covrage_plan_delayed_first_moves_first_center():
     d_delayed = math.hypot(delayed.beam_centers[0].u - p0.u, delayed.beam_centers[0].v - p0.v)
     assert d_normal == pytest.approx(0.0, abs=1e-12)
     assert d_delayed > d_normal
-    assert d_delayed <= delayed.coverage.half_width + 1e-9
+    assert d_delayed <= delayed.layout.half_width + 1e-9
 
 
 def test_covrage_plan_rejects_tiny_sample_count():
@@ -480,7 +473,6 @@ def test_beam_plan_validation():
     cfg = ArrayConfig()
     layout = partition_interleaved(cfg, 4)
     traj = Trajectory([[0.0, 0.0]])
-    params = CoverageParams(width=W16, interleaved=4, subdivisions=0)
     with pytest.raises(ValueError):
         BeamPlan(
             beam_centers=(UvPoint(0.0, 0.0),),
@@ -489,17 +481,9 @@ def test_beam_plan_validation():
             layout=layout,
             assignment=((0, 1, 2, 3),),
             trajectory=traj,
-            coverage=params,
             extrapolated=False,
             sync_skipped=(),
         )
-
-
-def test_coverage_params_validation():
-    with pytest.raises(ValueError):
-        CoverageParams(width=0.0, interleaved=4, subdivisions=0)
-    with pytest.raises(ValueError):
-        CoverageParams(width=0.1, interleaved=0, subdivisions=0)
 
 
 @settings(max_examples=10)
@@ -509,6 +493,6 @@ def test_covrage_plan_random_rotations_cover(seed):
 
     q1, q2 = random_head_rotation(seed, 0.25)
     awv, plan = covrage_plan(q1, q2, UvPoint(0.0, 0.0), ArrayConfig())
-    half = plan.coverage.half_width
+    half = plan.layout.half_width
     for p in plan.trajectory:
         assert min(math.hypot(p.u - c.u, p.v - c.v) for c in plan.beam_centers) <= half + 1e-9
