@@ -28,8 +28,6 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import UvPoint, uv_to_euler
 
-SPEED_OF_LIGHT = 299_792_458.0
-
 # Floor under sweep and gain-map gains: far below anything a plot would show,
 # but finite so downstream arithmetic stays total.
 GAIN_FLOOR_DBI = -40.0
@@ -52,18 +50,14 @@ class ArrayConfig:
     nx: int = 32
     ny: int = 32
     spacing_wavelengths: float = 0.25
-    frequency_hz: float = 60e9
 
     def __post_init__(self) -> None:
-        for name in ("spacing_wavelengths", "frequency_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"array {name} must be finite")
+        if not math.isfinite(self.spacing_wavelengths):
+            raise ConfigError("array spacing_wavelengths must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("array dimensions must be positive")
         if self.spacing_wavelengths <= 0.0:
             raise ConfigError("element spacing must be positive")
-        if self.frequency_hz <= 0.0:
-            raise ConfigError("carrier frequency must be positive")
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a key given twice is a config error, not a silent last-wins."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k in doc if sum(k == other for other, _ in pairs) > 1)
+        raise ConfigError(f"duplicate config field: {key}")
+    return doc
+
+
 def _write(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -203,13 +212,13 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
 
     The accepted keys, their types and their defaults are the fields of
     ``Scenario``, ``ArrayConfig`` and ``LinkParams``, apart from the keys in
-    ``_SPELLED``. ``link.frequency_hz`` defaults to ``array.frequency_hz``.
+    ``_SPELLED``.
     """
     with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
+        doc = json.load(fh, object_pairs_hook=_unique, parse_float=_finite, parse_constant=_finite)
     values = _scalars(doc, Scenario)
     array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
-    link = {"frequency_hz": array.frequency_hz, **_scalars(doc.get("link", {}), LinkParams, "link.")}
+    link = _scalars(doc.get("link", {}), LinkParams, "link.")
     for name in ("orientation_start", "orientation_end", "ap_direction"):
         value = _direction(doc, name)
         if value is not None:
@@ -219,9 +228,9 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
         if not isinstance(mcs_path, str):
             raise ConfigError("mcs_table_path must be a string")
         values["mcs_table"] = load_mcs_table(config_path.parent / mcs_path)
-    if args.strategy is not None:
+    if getattr(args, "strategy", None) is not None:
         values["strategy"] = args.strategy
-    if args.ablation is not None:
+    if getattr(args, "ablation", None) is not None:
         values.update((name, name in args.ablation) for name in ABLATIONS)
     if args.seed is not None:
         values["seed"] = args.seed
@@ -269,8 +278,7 @@ def _write_manifest(
 
 
 def _ablation_label(sc: Scenario) -> str:
-    parts = [name for name, on in (("no_sync", sc.no_sync), ("delayed_first", sc.delayed_first)) if on]
-    return ",".join(parts)
+    return ",".join(name for name in ABLATIONS if getattr(sc, name))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -397,11 +405,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, required=True, help="scenario config (JSON)")
         cmd.add_argument("--out-dir", default=None, help="output directory (or $COVRAGE_OUT_DIR)")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--strategy", choices=STRATEGIES, default=None, help="override the strategy")
-        cmd.add_argument(
-            "--ablation", action="append", choices=ABLATIONS, default=None,
-            help="enable an ablation (repeatable; replaces config ablations)",
-        )
+        # Only the flags a command reads: plan runs covrage alone, compare every variant.
+        if name in ("sweep", "gainmap"):
+            cmd.add_argument("--strategy", choices=STRATEGIES, help="override the strategy")
+        if name != "compare":
+            cmd.add_argument("--ablation", action="append", choices=ABLATIONS,
+                             help="enable an ablation (repeatable; replaces config ablations)")
         if name == "gainmap":
             cmd.add_argument("--resolution", type=int, default=256, help="grid cells per axis")
     return parser

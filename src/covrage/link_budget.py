@@ -14,20 +14,20 @@ below the control sensitivity yield the LINK_LOST sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
-from .array_model import SPEED_OF_LIGHT
 from .errors import ConfigError
 
+SPEED_OF_LIGHT = 299_792_458.0
 MCS_TABLE_RESOURCE = "data/mcs_80211ad.csv"
 MCS_TABLE_HEADER = ("index", "sensitivity_dbm", "datarate_mbps")
 
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Transmit side and propagation profile of one link."""
+    """Transmit side and propagation profile of one link; every field is a float."""
 
     eirp_dbm: float = 30.0
     distance_m: float = 3.0
@@ -36,16 +36,12 @@ class LinkParams:
     reference_distance_m: float = 1.0
     # None selects the free-space reference loss for frequency_hz.
     reference_loss_db: float | None = 68.0
-    noise_floor_dbm: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "eirp_dbm", "distance_m", "frequency_hz", "path_loss_exponent",
-            "reference_distance_m", "reference_loss_db", "noise_floor_dbm",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
-                raise ConfigError(f"link {name} must be finite")
+                raise ConfigError(f"link {f.name} must be finite")
         if self.distance_m <= 0.0:
             raise ConfigError("link distance must be positive")
         if self.reference_distance_m <= 0.0:

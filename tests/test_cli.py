@@ -265,7 +265,7 @@ def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
 
 
 def scenario_of(cfg):
-    args = argparse.Namespace(strategy=None, ablation=None, seed=None)
+    args = argparse.Namespace(seed=None)  # as for compare, which has no --strategy or --ablation
     return cli.load_scenario(cfg, args)[0]
 
 
@@ -357,8 +357,8 @@ def test_compare_never_searches_the_peak(tmp_path, monkeypatch, capsys):
 # Manifest echo
 
 SPELLED = {
-    "array": {"nx": 16, "ny": 16, "frequency_hz": 28e9},
-    "link": {"frequency_hz": 30e9, "reference_loss_db": None, "noise_floor_dbm": -80},
+    "array": {"nx": 16, "ny": 16},
+    "link": {"frequency_hz": 30e9, "reference_loss_db": None},
     "orientation_start_euler_deg": [5.0, -3.0, 1.0],
     "orientation_end_euler_deg": [18.0, 4.0, 2.0],
     "ap_direction_deg": [6.0, -3.0],
@@ -391,11 +391,6 @@ def test_manifest_echo_resolves_defaults(tmp_path):
     assert echo["link"]["reference_loss_db"] is None
     assert "ap_direction_uv" in echo and "ap_direction_deg" not in echo
     assert "orientation_end" in echo and "orientation_end_euler_deg" not in echo
-    # Without its own frequency, the link follows the array's.
-    doc = {"array": {"frequency_hz": 28e9}}
-    assert run("sweep", "--config", write_config(tmp_path, doc), "--out-dir", out) == 0
-    echo = json.loads((out / "manifest.json").read_text())["scenario"]
-    assert echo["link"]["frequency_hz"] == 28e9
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +428,9 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         ({"link": {"reference_loss_db": None, "frequency_hz": 1e-300}}, "link path loss"),
         ({"link": {"eirp_dbm": -1e308, "reference_loss_db": 1e308}}, "link eirp_dbm"),
         ({"link": {"eirp_dbm": 1e308, "reference_loss_db": -1e308}}, "link eirp_dbm"),
+        # The carrier is link.frequency_hz alone, and no computation reads a noise floor.
+        ({"array": {"frequency_hz": 28e9}}, "array.frequency_hz"),
+        ({"link": {"noise_floor_dbm": -80}}, "link.noise_floor_dbm"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
@@ -513,6 +511,37 @@ def test_overflowing_number_is_not_infinity(tmp_path, capsys):
     cfg.write_text('{"link": {"eirp_dbm": 1e999}}')
     assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
     assert "non-finite number 1e999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"seed": 1, "seed": 7, "array": {"nx": 16, "nx": 8, "ny": 8}}', "nx"),
+        ('{"seed": 1, "array": {"nx": 8, "ny": 8}, "seed": 7}', "seed"),
+    ],
+    ids=["nested", "top-level"],
+)
+def test_duplicate_config_key_exits_two(tmp_path, capsys, text, key):
+    # JSON keeps the last of two equal keys; a config must not silently drop the first.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(text)
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: duplicate config field: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("plan", "--strategy", "covrage"), ("compare", "--strategy", "covrage"), ("compare", "--ablation", "no_sync")],
+    ids=["plan-strategy", "compare-strategy", "compare-ablation"],
+)
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, MOVING)
+    with pytest.raises(SystemExit) as exc:
+        run(argv[0], "--config", cfg, "--out-dir", tmp_path / "out", *argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):

@@ -44,21 +44,21 @@ REF_C = {
 DIGESTS_C = {
     "compare": {
         "compare.csv": "5c226ae5472a24f3fab45f3a11242776318ef84f833f3cacef47a719a2a18d20",
-        "manifest.json": "a522bea0b25a016db9b9c841cadb7927195db71feb5ca6360a5ba92e5c3deef8",
+        "manifest.json": "018aa59c5cbb69582956bde5b6f36b9a949ddb913a3bb44a2f7e184e2ff6edf8",
         "stdout.txt": "342f334c938e6f87bf784cf87077cf80d6cae40d0eabc37fb1ae449c767a8eb6",
     },
     "gainmap": {
         "gainmap.csv": "72b8d38a1ceb5bfd9cdcb2d49aaf9635c237a6ca031a363cea8d3916e3613189",
-        "manifest.json": "c56f7a45bb9a6076e3ae51692e95cb8c1a090c106135147bdbdfe64ae90e72fd",
+        "manifest.json": "a0968e38991374e0d72c1739a7aced9286e49a3802824a30d7bfb3665ec12ee8",
         "stdout.txt": "0f4d2984593c7d82705b2f082ddc4bfa348454329792b1cf8294e02fa9bf49fd",
     },
     "plan": {
         "awv.csv": "bab3faa01e032bc25c634a1d8d29be30732f4a5fdabddf49bc8ac429bd6b5c1e",
-        "manifest.json": "72c07ddd31f507e053c9ea6accad6c246e4d726c53a6019e6a4f058f26794a7e",
+        "manifest.json": "ba8ab7913e1c41f3aebc444c1c808d7d0ea9f64e8955f97655ba271ff5786240",
         "stdout.txt": "e7ac5771e9f71d8e126e172adff8b07bf0e6049835ab75c8bf543c4ed95a5b66",
     },
     "sweep": {
-        "manifest.json": "b9d643de61817b0337b5a66feee76401123cf5619b635da82654bdd414758889",
+        "manifest.json": "d497667c0162c904e341378b7c5b12a190f0184cd7e25105e6200e9d97e18078",
         "summary.json": "d2d6a862520feec7d8aad24f617aa44d8be55394066ea1134b8f83a7ebdd8379",
         "sweep.csv": "03ae49eed2cfb9c643f203ba32f803b2dd9fe79ea61e3c3576b6887702060005",
         "stdout.txt": "dd3e354d9868cb9de3f373db5306a549fda86c60025d7bb2050951ad5b22ca6d",

@@ -235,14 +235,12 @@ def test_link_params_validation():
     "cls,field",
     [
         (ArrayConfig, "spacing_wavelengths"),
-        (ArrayConfig, "frequency_hz"),
         (LinkParams, "eirp_dbm"),
         (LinkParams, "distance_m"),
         (LinkParams, "frequency_hz"),
         (LinkParams, "path_loss_exponent"),
         (LinkParams, "reference_distance_m"),
         (LinkParams, "reference_loss_db"),
-        (LinkParams, "noise_floor_dbm"),
     ],
 )
 def test_config_floats_must_be_finite(cls, field, value):
