@@ -7,133 +7,3 @@ link budget.
 """
 
 __version__ = "0.1.0"
-
-from .array_model import (
-    GAIN_FLOOR_DBI,
-    ArrayConfig,
-    Awv,
-    SteeringDirection,
-    SubArrayLayout,
-    array_coefficient,
-    beamwidth_angular,
-    beamwidth_uv,
-    compose_full_awv,
-    element_phase_delta,
-    origin_phase_correction,
-    partition_interleaved,
-    partition_localized,
-    peak_gain,
-    quantize_phases,
-    steering_weights,
-)
-from .errors import ConfigError, CovrageError, HemisphereError, InvalidUvError
-from .geometry import (
-    EulerAngles,
-    Quaternion,
-    Trajectory,
-    UvPoint,
-    apparent_ap_rotation,
-    direction_to_uv,
-    euler_to_quat,
-    euler_to_uv,
-    hamilton_product,
-    quat_to_euler,
-    rotate_vector,
-    sample_trajectory,
-    slerp_power,
-    trajectory_length,
-    uv_to_direction,
-    uv_to_euler,
-)
-from .harness import (
-    Scenario,
-    SweepResult,
-    build_beam,
-    compare_strategies,
-    gain_map,
-    iter_strategies,
-    random_head_rotation,
-    reference_scenario,
-    sweep_trajectory,
-)
-from .link_budget import (
-    LINK_LOST,
-    LinkParams,
-    McsEntry,
-    default_mcs_table,
-    load_mcs_table,
-    path_loss,
-    select_mcs,
-)
-from .planner import (
-    BeamPlan,
-    allocate_sub_arrays,
-    cover_points,
-    covrage_plan,
-    phase_sync,
-    plan_trajectory,
-    subdivision_level,
-)
-
-__all__ = [
-    "__version__",
-    "GAIN_FLOOR_DBI",
-    "ArrayConfig",
-    "Awv",
-    "SteeringDirection",
-    "SubArrayLayout",
-    "array_coefficient",
-    "beamwidth_angular",
-    "beamwidth_uv",
-    "compose_full_awv",
-    "element_phase_delta",
-    "origin_phase_correction",
-    "partition_interleaved",
-    "partition_localized",
-    "peak_gain",
-    "quantize_phases",
-    "steering_weights",
-    "ConfigError",
-    "CovrageError",
-    "HemisphereError",
-    "InvalidUvError",
-    "EulerAngles",
-    "Quaternion",
-    "Trajectory",
-    "UvPoint",
-    "apparent_ap_rotation",
-    "direction_to_uv",
-    "euler_to_quat",
-    "euler_to_uv",
-    "hamilton_product",
-    "quat_to_euler",
-    "rotate_vector",
-    "sample_trajectory",
-    "slerp_power",
-    "trajectory_length",
-    "uv_to_direction",
-    "uv_to_euler",
-    "Scenario",
-    "SweepResult",
-    "build_beam",
-    "compare_strategies",
-    "gain_map",
-    "iter_strategies",
-    "random_head_rotation",
-    "reference_scenario",
-    "sweep_trajectory",
-    "LINK_LOST",
-    "LinkParams",
-    "McsEntry",
-    "default_mcs_table",
-    "load_mcs_table",
-    "path_loss",
-    "select_mcs",
-    "BeamPlan",
-    "allocate_sub_arrays",
-    "cover_points",
-    "covrage_plan",
-    "phase_sync",
-    "plan_trajectory",
-    "subdivision_level",
-]

@@ -19,7 +19,6 @@ shared across threads freely.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -122,8 +121,7 @@ class SubArrayLayout:
     one ``[qy, qx]`` bit pair per split; its local element (lx, ly) sits at
     ``x = (Qx * side_x + lx) * m + rx`` (likewise y), Qx reading the qx bits
     first split first. ``stride`` = m is the full-lattice step between local
-    neighbours. ``sub_index``, ``local_x``, ``local_y`` and ``origins`` are
-    derived, read-only, on first read.
+    neighbours.
     """
 
     config: ArrayConfig
@@ -196,24 +194,6 @@ class SubArrayLayout:
         grid = grid.reshape(self.config.nx, self.config.ny)
         grid.setflags(write=False)
         return grid
-
-    @functools.cached_property
-    def sub_index(self) -> np.ndarray:
-        return self.scatter(np.arange(self.n_sub)[:, None, None])
-
-    @functools.cached_property
-    def local_x(self) -> np.ndarray:
-        return self.scatter(np.arange(self.side_x)[None, :, None])
-
-    @functools.cached_property
-    def local_y(self) -> np.ndarray:
-        return self.scatter(np.arange(self.side_y)[None, None, :])
-
-    @functools.cached_property
-    def origins(self) -> np.ndarray:
-        origins = np.stack(self.origin(np.arange(self.n_sub)), axis=1)
-        origins.setflags(write=False)
-        return origins
 
 
 def partition_interleaved(cfg: ArrayConfig, mi: int) -> SubArrayLayout:

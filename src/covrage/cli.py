@@ -5,9 +5,9 @@ output file starts with a schema-version line, a run manifest is written
 before any other output, and identical invocations produce byte-identical
 files (no timestamps, fixed float formatting).
 
-Exit codes: 0 success, 2 config errors (a config whose arrays do not fit in
-memory among them), 3 model-domain errors such as a trajectory leaving the
-front hemisphere.
+Exit codes: 0 success, 2 config errors (command-line mistakes, undecodable
+files and a config whose arrays do not fit in memory among them), 3
+model-domain errors such as a trajectory leaving the front hemisphere.
 """
 
 from __future__ import annotations
@@ -381,6 +381,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are config errors: one stderr line, exit 2, like a bad config."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change it.
@@ -388,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     It holds no command function: ``main`` looks ``cmd_<command>`` up on each
     call, so that a wrapper set on this module, as a profiler sets one, runs.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covrage",
         description="Plan trajectory-covering receive beams and evaluate them against baselines.",
     )
@@ -417,10 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CovrageError, ValueError) as exc:

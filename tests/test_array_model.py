@@ -199,37 +199,53 @@ def test_beamwidth_angular_degenerates_at_plane():
 # Partitions: checked against index-arithmetic enumeration oracles
 
 
+def element_images(layout):
+    """Each element's group, local x and local y as ``[x, y]`` grids, and the groups' origin rows.
+
+    The grids are ``layout.scatter`` of each group's index and local
+    coordinates; the origin table is ``layout.origin`` of every group.
+    """
+    sub_index = layout.scatter(np.arange(layout.n_sub)[:, None, None])
+    local_x = layout.scatter(np.arange(layout.side_x)[None, :, None])
+    local_y = layout.scatter(np.arange(layout.side_y)[None, None, :])
+    origins = np.stack(layout.origin(np.arange(layout.n_sub)), axis=1)
+    return sub_index, local_x, local_y, origins
+
+
 def test_interleaved_partition_example():
     layout = partition_interleaved(ArrayConfig(), 4)
     assert layout.n_sub == 4
     assert (layout.side_x, layout.side_y) == (16, 16)
     assert layout.spacing_wl == pytest.approx(0.5)
+    sub_index, local_x, local_y, origins = element_images(layout)
     # Element (3, 5): offsets (3 mod 2, 5 mod 2) = (1, 1) own it, locally (1, 2).
-    k = layout.sub_index[3, 5]
-    assert tuple(layout.origins[k]) == (1, 1)
-    assert (layout.local_x[3, 5], layout.local_y[3, 5]) == (1, 2)
+    k = sub_index[3, 5]
+    assert tuple(origins[k]) == (1, 1)
+    assert (local_x[3, 5], local_y[3, 5]) == (1, 2)
 
 
 def test_interleaved_partition_enumeration_oracle():
     cfg = ArrayConfig()
     layout = partition_interleaved(cfg, 4)
+    sub_index, local_x, local_y, origins = element_images(layout)
     m = 2
     for x in range(cfg.nx):
         for y in range(cfg.ny):
-            k = layout.sub_index[x, y]
-            ox, oy = layout.origins[k]
+            k = sub_index[x, y]
+            ox, oy = origins[k]
             assert (ox, oy) == (x % m, y % m)
-            assert (layout.local_x[x, y], layout.local_y[x, y]) == (x // m, y // m)
+            assert (local_x[x, y], local_y[x, y]) == (x // m, y // m)
             # Origin element plus stride times local coords recovers (x, y).
-            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
+            lx, ly = local_x[x, y], local_y[x, y]
             assert (ox + m * lx, oy + m * ly) == (x, y)
 
 
 def test_interleaved_masks_partition_the_lattice():
     layout = partition_interleaved(ArrayConfig(), 4)
+    sub_index = element_images(layout)[0]
     total = np.zeros((32, 32), dtype=int)
     for k in range(4):
-        mask = layout.sub_index == k
+        mask = sub_index == k
         assert mask.sum() == 256
         total += mask.astype(int)
     assert (total == 1).all()
@@ -238,8 +254,9 @@ def test_interleaved_masks_partition_the_lattice():
 def test_interleaved_identity():
     layout = partition_interleaved(ArrayConfig(), 1)
     assert layout.n_sub == 1
-    assert layout.sub_index[17, 4] == 0
-    assert (layout.local_x[17, 4], layout.local_y[17, 4]) == (17, 4)
+    sub_index, local_x, local_y, _ = element_images(layout)
+    assert sub_index[17, 4] == 0
+    assert (local_x[17, 4], local_y[17, 4]) == (17, 4)
     assert layout.stride == 1
     assert (layout.side_x, layout.side_y) == (32, 32)
 
@@ -260,16 +277,17 @@ def test_localized_partition_quadrants():
     assert (split.side_x, split.side_y) == (8, 8)
     assert split.stride == base.stride
     assert split.subdivisions == 1
+    sub_index, local_x, local_y, origins = element_images(split)
     # Element (12, 3) sits in the +x/-y quadrant: local (4, 3).
-    k = split.sub_index[12, 3]
-    assert tuple(split.origins[k]) == (8, 0)
-    assert (split.local_x[12, 3], split.local_y[12, 3]) == (4, 3)
+    k = sub_index[12, 3]
+    assert tuple(origins[k]) == (8, 0)
+    assert (local_x[12, 3], local_y[12, 3]) == (4, 3)
     for x in range(16):
         for y in range(16):
             qx, qy = x // 8, y // 8
-            k = split.sub_index[x, y]
-            assert tuple(split.origins[k]) == (8 * qx, 8 * qy)
-            assert (split.local_x[x, y], split.local_y[x, y]) == (x % 8, y % 8)
+            k = sub_index[x, y]
+            assert tuple(origins[k]) == (8 * qx, 8 * qy)
+            assert (local_x[x, y], local_y[x, y]) == (x % 8, y % 8)
 
 
 def test_localized_refines_interleaved():
@@ -277,16 +295,17 @@ def test_localized_refines_interleaved():
     assert layout.n_sub == 16
     assert (layout.side_x, layout.side_y) == (8, 8)
     assert layout.spacing_wl == pytest.approx(0.5)
+    sub_index, _, _, origins = element_images(layout)
     total = np.zeros((32, 32), dtype=int)
     for k in range(16):
-        mask = layout.sub_index == k
+        mask = sub_index == k
         assert mask.sum() == 64
         total += mask.astype(int)
         # All elements of one child share the parent interleave offset.
         xs, ys = np.nonzero(mask)
         assert len(set(zip(xs % 2, ys % 2))) == 1
         # Origin is the child's own lowest-index element.
-        assert tuple(layout.origins[k]) == (xs.min(), ys.min())
+        assert tuple(origins[k]) == (xs.min(), ys.min())
     assert (total == 1).all()
 
 
@@ -343,20 +362,21 @@ def test_layout_index_arrays_match_enumeration_oracle(mi, depth, data):
     # A split halves the sides, so it doubles the group's beam width.
     base = beamwidth_uv(min(layout.config.nx, layout.config.ny) // m, layout.spacing_wl)
     assert layout.beam_width == pytest.approx(base * 2**depth, rel=1e-14)
-    np.testing.assert_array_equal(layout.origins, origins)
+    sub_index, local_x, local_y, origin_table = element_images(layout)
+    np.testing.assert_array_equal(origin_table, origins)
     covered = np.zeros((layout.config.nx, layout.config.ny), dtype=int)
     lx, ly = np.arange(hx), np.arange(hy)
     for k, (ox, oy) in enumerate(origins):
         assert layout.origin(k) == (ox, oy)
         # x = origin_x + stride * local_x, and likewise for y.
         cells = np.ix_(ox + m * lx, oy + m * ly)
-        assert (layout.sub_index[cells] == k).all()
-        np.testing.assert_array_equal(layout.local_x[cells], np.broadcast_to(lx[:, None], (hx, hy)))
-        np.testing.assert_array_equal(layout.local_y[cells], np.broadcast_to(ly[None, :], (hx, hy)))
+        assert (sub_index[cells] == k).all()
+        np.testing.assert_array_equal(local_x[cells], np.broadcast_to(lx[:, None], (hx, hy)))
+        np.testing.assert_array_equal(local_y[cells], np.broadcast_to(ly[None, :], (hx, hy)))
         covered[cells] += 1
     assert (covered == 1).all()
-    for name in ("sub_index", "local_x", "local_y", "origins"):
-        assert not getattr(layout, name).flags.writeable
+    for image in (sub_index, local_x, local_y):
+        assert not image.flags.writeable
 
 
 def test_layout_arithmetic_allocates_no_element_arrays():
@@ -384,10 +404,11 @@ def test_compose_full_awv_scatter_oracle():
     subs = [random_awv(rng, 16, 16) for _ in range(4)]
     shifts = np.exp(2j * np.pi * rng.uniform(size=4))
     full = compose_full_awv(subs, shifts, layout)
+    sub_index, local_x, local_y, _ = element_images(layout)
     for x in range(0, 32, 5):
         for y in range(0, 32, 7):
-            k = layout.sub_index[x, y]
-            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
+            k = sub_index[x, y]
+            lx, ly = local_x[x, y], local_y[x, y]
             assert full.weights[x, y] == pytest.approx(shifts[k] * subs[k].weights[lx, ly], abs=1e-12)
 
 

@@ -531,17 +531,33 @@ def test_duplicate_config_key_exits_two(tmp_path, capsys, text, key):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("plan", "--strategy", "covrage"), ("compare", "--strategy", "covrage"), ("compare", "--ablation", "no_sync")],
-    ids=["plan-strategy", "compare-strategy", "compare-ablation"],
+    "argv,message",
+    [
+        (("plan", "--strategy", "covrage"), "unrecognized arguments: --strategy covrage"),
+        (("compare", "--strategy", "covrage"), "unrecognized arguments: --strategy covrage"),
+        (("compare", "--ablation", "no_sync"), "unrecognized arguments: --ablation no_sync"),
+        (("gainmap", "--resolution", "x"), "argument --resolution: invalid int value: 'x'"),
+    ],
+    ids=["plan-strategy", "compare-strategy", "compare-ablation", "gainmap-resolution"],
 )
-def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, argv, message):
+    # A command-line mistake is a config error: exit 2 and one stderr line, no usage text.
     cfg = write_config(tmp_path, MOVING)
-    with pytest.raises(SystemExit) as exc:
-        run(argv[0], "--config", cfg, "--out-dir", tmp_path / "out", *argv[1:])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert run(argv[0], "--config", cfg, "--out-dir", tmp_path / "out", *argv[1:]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("render",), ("sweep",), ("sweep", "--config")],
+    ids=["no-command", "unknown-command", "no-config", "config-without-path"],
+)
+def test_command_line_errors_are_one_line(capsys, argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):
@@ -551,10 +567,17 @@ def test_seed_override_must_be_non_negative(tmp_path, capsys):
 
 
 def test_invalid_json_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
-    assert "config error" in capsys.readouterr().err
+    # Bad JSON, a config that is not UTF-8, and a rate table that is not UTF-8.
+    (tmp_path / "rates.csv").write_bytes(b"index,sensitivity_dbm,datarate_mbps\n0,-78,27.5\xff\n")
+    configs = {"broken.json": b"{not json", "latin.json": b'{"seed": 1\xff}'}
+    configs["table.json"] = json.dumps(dict(STATIC, mcs_table_path="rates.csv")).encode()
+    for name, text in configs.items():
+        cfg = tmp_path / name
+        cfg.write_bytes(text)
+        assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), name
+        assert err.count("\n") == 1, name
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -617,3 +640,11 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gainmap", "--help"]])
+def test_help_flag_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: covrage")

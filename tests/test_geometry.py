@@ -1,6 +1,10 @@
 """Rotation and coordinate conversions checked against matrix oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +372,12 @@ def test_trajectory_container_protocol():
         Trajectory([0.1, 0.2, 0.3])
     with pytest.raises(InvalidUvError):
         Trajectory([[0.0, 0.0], [0.9, 0.9]])
+
+
+def test_importing_geometry_loads_only_its_own_modules():
+    # The package root re-exports nothing, so one module pulls in only what it imports.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, covrage.geometry; print(' '.join(sorted(m for m in sys.modules if m.startswith('covrage'))))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["covrage", "covrage.errors", "covrage.geometry"]

@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,3 +502,14 @@ def test_delayed_first_drop_on_reference_b():
         return float(10.0 * np.log10(np.abs(c[0]) ** 2))
 
     assert gain_at_start(normal.awv) - gain_at_start(delayed.awv) >= 5.0
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(), flags=re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "(256, 2)" in done.stdout

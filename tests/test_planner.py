@@ -29,6 +29,7 @@ from covrage.planner import (
     plan_trajectory,
     subdivision_level,
 )
+from test_array_model import element_images
 
 W16 = beamwidth_uv(16, 0.5)  # 0.11075
 
@@ -393,11 +394,12 @@ def test_covrage_plan_composition_scatter_oracle():
         for g in groups:
             group_shift[g] = plan.sync_shifts[b] * origin_phase_correction(layout, g, d)
             group_beam[g] = weights
+    sub_index, local_x, local_y, _ = element_images(layout)
     expected = np.empty((cfg.nx, cfg.ny), dtype=complex)
     for x in range(cfg.nx):
         for y in range(cfg.ny):
-            g = layout.sub_index[x, y]
-            lx, ly = layout.local_x[x, y], layout.local_y[x, y]
+            g = sub_index[x, y]
+            lx, ly = local_x[x, y], local_y[x, y]
             expected[x, y] = group_shift[g] * group_beam[g].weights[lx, ly]
     np.testing.assert_allclose(awv.weights, expected, atol=1e-12)
 
@@ -447,8 +449,8 @@ def test_covrage_plan_retry_splits_the_current_layout(monkeypatch):
     assert plan.layout.beam_width == pytest.approx(4.0 * beamwidth_uv(32, 0.25), abs=1e-12)
     chained = partition_localized(partition_localized(partition_interleaved(cfg, 1)))
     assert plan.layout.subdivisions == chained.subdivisions == 2
-    for name in ("sub_index", "local_x", "local_y", "origins"):
-        np.testing.assert_array_equal(getattr(plan.layout, name), getattr(chained, name))
+    for got, want in zip(element_images(plan.layout), element_images(chained)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_covrage_plan_delayed_first_moves_first_center():
