@@ -1,11 +1,11 @@
 """Uniform rectangular array model: weights, patterns, gains, sub-array layouts.
 
-Element (x, y) of a half-wavelength-scaled lattice with pitch ``d`` (in carrier
-wavelengths) sees the incoming plane wave from yaw/pitch ``(phi, theta)`` with a
-phase offset of ``exp(-2j pi d (x u + y v))`` relative to element (0, 0), where
-``(u, v)`` are the direction's sine-space coordinates. Conjugating that offset
-element-for-element steers the array; summing weight times offset over the
-aperture gives the receive coefficient, and ``10 log10 |C|^2`` the gain in dBi.
+Directions are sine-space points ``UvPoint(u, v)``. Element (x, y) of a lattice
+with pitch ``d`` (in carrier wavelengths) sees a plane wave arriving from
+``(u, v)`` with a phase offset of ``exp(-2j pi d (x u + y v))`` relative to
+element (0, 0). Conjugating that offset element-for-element steers the array;
+summing weight times offset over the aperture gives the receive coefficient,
+and ``10 log10 |C|^2`` the gain in dBi.
 
 Sub-array layouts assign every physical element to exactly one group and give it
 local coordinates inside that group. Interleaving takes every sqrt(M)-th element,
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import UvPoint, uv_to_euler
+from .geometry import UvPoint
 
 # Floor under sweep and gain-map gains: far below anything a plot would show,
 # but finite so downstream arithmetic stays total.
@@ -57,24 +57,6 @@ class ArrayConfig:
             raise ConfigError("array dimensions must be positive")
         if self.spacing_wavelengths <= 0.0:
             raise ConfigError("element spacing must be positive")
-
-
-@dataclass(frozen=True)
-class SteeringDirection:
-    """Yaw/pitch pair a beam is aimed at, restricted to the front hemisphere."""
-
-    phi: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        lim = math.pi / 2.0 + 1e-12
-        if abs(self.phi) > lim or abs(self.theta) > lim:
-            raise ConfigError(f"steering ({self.phi}, {self.theta}) is outside the front hemisphere")
-
-    @classmethod
-    def from_uv(cls, p: UvPoint) -> "SteeringDirection":
-        e = uv_to_euler(p)
-        return cls(e.phi, e.theta)
 
 
 class Awv:
@@ -215,40 +197,23 @@ def partition_localized(layout: SubArrayLayout) -> SubArrayLayout:
     return SubArrayLayout(layout.config, layout.interleave_factor, layout.subdivisions + 1)
 
 
-def _uv_of(phi: float, theta: float) -> tuple[float, float]:
-    return math.sin(phi) * math.cos(theta), math.sin(theta)
-
-
-def element_phase_delta(x: int, y: int, phi: float, theta: float, spacing_wl: float) -> complex:
-    """Plane-wave phase offset of element (x, y) relative to (0, 0).
-
-    ``spacing_wl`` is the pitch of the lattice the coordinates are counted on,
-    in carrier wavelengths.
-    """
-    u, v = _uv_of(phi, theta)
-    arg = 2.0 * math.pi * spacing_wl * (x * u + y * v)
-    return complex(math.cos(arg), -math.sin(arg))
-
-
-def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: SteeringDirection) -> Awv:
+def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoint) -> Awv:
     """Weights that cancel each element's phase offset toward ``direction``.
 
     Coordinates are local to the addressed (sub-)array; pass its effective pitch.
     """
     nx, ny = shape
-    u, v = _uv_of(direction.phi, direction.theta)
     arg = 2.0 * np.pi * spacing_wl * (
-        np.arange(nx)[:, None] * u + np.arange(ny)[None, :] * v
+        np.arange(nx)[:, None] * direction.u + np.arange(ny)[None, :] * direction.v
     )
     return Awv._trusted(np.cos(arg) + 1j * np.sin(arg))
 
 
-def array_coefficient(awv: Awv, phi: float, theta: float, spacing_wl: float) -> complex:
-    """Receive coefficient: sum of weight times plane-wave offset over elements."""
+def array_coefficient(awv: Awv, p: UvPoint, spacing_wl: float) -> complex:
+    """Receive coefficient at ``p``: sum of weight times plane-wave offset over elements."""
     nx, ny = awv.shape
-    u, v = _uv_of(phi, theta)
     arg = 2.0 * np.pi * spacing_wl * (
-        np.arange(nx)[:, None] * u + np.arange(ny)[None, :] * v
+        np.arange(nx)[:, None] * p.u + np.arange(ny)[None, :] * p.v
     )
     delta = np.cos(arg) - 1j * np.sin(arg)
     return complex((awv.weights * delta).sum())
@@ -272,7 +237,7 @@ def beamwidth_angular(n_side: int, spacing_wl: float, alpha: float) -> float:
     return HALF_POWER_CONSTANT / (n_side * spacing_wl * c)
 
 
-def origin_phase_correction(layout: SubArrayLayout, k: int, direction: SteeringDirection) -> complex:
+def origin_phase_correction(layout: SubArrayLayout, k: int, direction: UvPoint) -> complex:
     """Unit phasor aligning group k's coefficient phase to zero at its steering.
 
     A group steered via local coordinates is internally coherent but carries the
@@ -280,9 +245,10 @@ def origin_phase_correction(layout: SubArrayLayout, k: int, direction: SteeringD
     this factor removes it, which is what lets groups aimed at one direction add
     up exactly like the full aperture steered as one.
     """
-    u, v = _uv_of(direction.phi, direction.theta)
     ox, oy = layout.origin(k)
-    arg = 2.0 * math.pi * layout.config.spacing_wavelengths * (float(ox) * u + float(oy) * v)
+    arg = 2.0 * math.pi * layout.config.spacing_wavelengths * (
+        float(ox) * direction.u + float(oy) * direction.v
+    )
     return complex(math.cos(arg), math.sin(arg))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .array_model import ArrayConfig
-from .errors import ConfigError, CovrageError
+from .errors import ConfigError, CovrageError, read_utf8
 from .geometry import EulerAngles, Quaternion, UvPoint, euler_to_quat, euler_to_uv, trajectory_length
 from .harness import (
     DISPLAY_CLAMP_DBI,
@@ -214,8 +214,7 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
     ``Scenario``, ``ArrayConfig`` and ``LinkParams``, apart from the keys in
     ``_SPELLED``.
     """
-    with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=_unique, parse_float=_finite, parse_constant=_finite)
+    doc = json.loads(read_utf8(config_path), object_pairs_hook=_unique, parse_float=_finite, parse_constant=_finite)
     values = _scalars(doc, Scenario)
     array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
     link = _scalars(doc.get("link", {}), LinkParams, "link.")
@@ -427,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
-    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CovrageError, ValueError) as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file reader that raises one."""
+
+from pathlib import Path
 
 
 class CovrageError(Exception):
@@ -15,3 +17,12 @@ class InvalidUvError(CovrageError, ValueError):
 
 class HemisphereError(CovrageError, ValueError):
     """A direction or trajectory sample left the front hemisphere."""
+
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; a file that is not UTF-8 is a ConfigError naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 (byte 0x{data[exc.start]:02x} at position {exc.start})") from None

@@ -174,14 +174,6 @@ def hamilton_product(q1: Quaternion, q2: Quaternion) -> Quaternion:
     )
 
 
-def rotate_vector(q: Quaternion, v) -> np.ndarray:
-    """Rotate a 3-vector by q (active rotation)."""
-    vec = np.asarray(v, dtype=float)
-    qv = np.array([q.x, q.y, q.z])
-    t = 2.0 * np.cross(qv, vec)
-    return vec + q.w * t + np.cross(qv, t)
-
-
 def _axis_angle(q: Quaternion) -> tuple[np.ndarray, float]:
     """Unit axis and rotation angle in [0, pi] of the canonical representative."""
     qc = q.canonical()
@@ -190,22 +182,6 @@ def _axis_angle(q: Quaternion) -> tuple[np.ndarray, float]:
     if s < _ZERO_TOL:
         return np.array([0.0, 0.0, 1.0]), angle
     return np.array([qc.x, qc.y, qc.z]) / s, angle
-
-
-def slerp_power(q: Quaternion, a: float) -> Quaternion:
-    """Fractional rotation q**a: same axis, angle scaled by ``a``.
-
-    Uses the shortest-arc representative of q, so powers interpolate the short
-    way around; ``a`` may extrapolate up to 2.
-    """
-    if not 0.0 <= a <= 2.0:
-        raise ValueError(f"power {a} outside [0, 2]")
-    axis, angle = _axis_angle(q)
-    if angle < _UNIT_TOL:
-        return Quaternion.identity()
-    half = 0.5 * a * angle
-    s = math.sin(half)
-    return Quaternion(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
 
 
 def quat_to_euler(q: Quaternion) -> EulerAngles:
@@ -259,14 +235,6 @@ def uv_to_direction(p: UvPoint) -> np.ndarray:
     """Unit direction vector for a sine-space point."""
     w = math.sqrt(max(0.0, 1.0 - p.u * p.u - p.v * p.v))
     return np.array([-p.v, p.u, w])
-
-
-def direction_to_uv(d) -> UvPoint:
-    """Sine-space point of a unit direction; rejects the rear hemisphere."""
-    vec = np.asarray(d, dtype=float)
-    if vec[2] < -1e-9:
-        raise HemisphereError("direction points behind the array plane")
-    return UvPoint(float(vec[1]), float(-vec[0]))
 
 
 def apparent_ap_rotation(q1: Quaternion, q2: Quaternion) -> Quaternion:

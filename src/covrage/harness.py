@@ -34,7 +34,6 @@ from .array_model import (
     MAX_PHASE_BITS,
     ArrayConfig,
     Awv,
-    SteeringDirection,
     beamwidth_uv,
     coefficient_grid,
     coefficient_points,
@@ -150,9 +149,8 @@ def build_beam(sc: Scenario) -> BeamBuild:
             sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array,
             sc.interleave, sc.n_samples,
         )
-        direction = SteeringDirection.from_uv(_baseline_target(sc, traj))
         awv = steering_weights(
-            (sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, direction
+            (sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, _baseline_target(sc, traj)
         )
     if sc.phase_bits is not None:
         awv = quantize_phases(awv, sc.phase_bits)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 
 SPEED_OF_LIGHT = 299_792_458.0
 MCS_TABLE_RESOURCE = "data/mcs_80211ad.csv"
@@ -126,8 +126,7 @@ def load_mcs_table(source) -> tuple[McsEntry, ...]:
         text = source.read()
         origin = getattr(source, "name", "<table>")
     else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_utf8(source)
         origin = str(source)
     rows = [
         line.strip()

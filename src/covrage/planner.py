@@ -28,7 +28,6 @@ import numpy as np
 from .array_model import (
     ArrayConfig,
     Awv,
-    SteeringDirection,
     SubArrayLayout,
     array_coefficient,
     compose_full_awv,
@@ -43,7 +42,6 @@ from .geometry import (
     UvPoint,
     sample_trajectory,
     trajectory_length,
-    uv_to_euler,
 )
 
 # Closed-disc slack: a sample exactly on the coverage boundary counts as covered.
@@ -277,9 +275,8 @@ def phase_sync(
     shifts: list[complex] = [complex(1.0, 0.0)]
     skipped: list[int] = []
     for k, overlap in enumerate(overlap_points):
-        e = uv_to_euler(overlap)
-        prev = shifts[k] * array_coefficient(awvs[k], e.phi, e.theta, layout.spacing_wl)
-        nxt = array_coefficient(awvs[k + 1], e.phi, e.theta, layout.spacing_wl)
+        prev = shifts[k] * array_coefficient(awvs[k], overlap, layout.spacing_wl)
+        nxt = array_coefficient(awvs[k + 1], overlap, layout.spacing_wl)
         if abs(prev) < SYNC_MAGNITUDE_FLOOR or abs(nxt) < SYNC_MAGNITUDE_FLOOR:
             shifts.append(complex(1.0, 0.0))
             skipped.append(k)
@@ -354,8 +351,7 @@ def covrage_plan(
 
     assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
     shape = (layout.side_x, layout.side_y)
-    directions = [SteeringDirection.from_uv(center) for center in cover.centers]
-    awvs = [steering_weights(shape, layout.spacing_wl, d) for d in directions]
+    awvs = [steering_weights(shape, layout.spacing_wl, center) for center in cover.centers]
 
     if sync_override is not None:
         shifts = tuple(complex(v) for v in sync_override(len(awvs)))
@@ -369,10 +365,10 @@ def covrage_plan(
 
     sub_awvs: list[Awv | None] = [None] * layout.n_sub
     sub_shifts = np.zeros(layout.n_sub, dtype=complex)
-    for subs, direction, weights, shift in zip(assignment, directions, awvs, shifts):
+    for subs, center, weights, shift in zip(assignment, cover.centers, awvs, shifts):
         for sidx in subs:
             sub_awvs[sidx] = weights
-            sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, direction)
+            sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, center)
     awv = compose_full_awv(sub_awvs, sub_shifts, layout)
     plan = BeamPlan(
         beam_centers=cover.centers,

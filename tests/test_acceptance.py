@@ -11,7 +11,6 @@ import pytest
 
 from covrage.array_model import (
     ArrayConfig,
-    SteeringDirection,
     beamwidth_angular,
     beamwidth_uv,
     coefficient_points,
@@ -58,7 +57,7 @@ def test_criterion_02_width_invariant_across_steering():
         azimuth = rng.uniform(0.0, 2.0 * math.pi)
         r = math.sin(off_axis)
         center = UvPoint(r * math.cos(azimuth), r * math.sin(azimuth))
-        awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(center))
+        awv = steering_weights((16, 16), 0.5, center)
 
         def power(u):
             c = coefficient_points(awv, np.array([u]), np.array([center.v]), 0.5)
@@ -97,7 +96,7 @@ def test_criterion_03_coherent_gain_oracle():
         r = math.sqrt(rng.uniform(0.0, 0.95**2))
         azimuth = rng.uniform(0.0, 2.0 * math.pi)
         center = UvPoint(r * math.cos(azimuth), r * math.sin(azimuth))
-        awv = steering_weights((nx, ny), 0.5, SteeringDirection.from_uv(center))
+        awv = steering_weights((nx, ny), 0.5, center)
         c = coefficient_points(awv, np.array([center.u]), np.array([center.v]), 0.5)
         gain = 10.0 * math.log10(abs(c[0]) ** 2)
         worst = max(worst, abs(gain - 20.0 * math.log10(nx * ny)))

@@ -12,14 +12,12 @@ from covrage.array_model import (
     ArrayConfig,
     Awv,
     GAIN_FLOOR_DBI,
-    SteeringDirection,
     array_coefficient,
     beamwidth_angular,
     beamwidth_uv,
     coefficient_grid,
     coefficient_points,
     compose_full_awv,
-    element_phase_delta,
     origin_phase_correction,
     partition_interleaved,
     partition_localized,
@@ -47,6 +45,17 @@ def brute_coefficient(weights: np.ndarray, u: float, v: float, spacing_wl: float
     return total
 
 
+def element_phase_delta(x: int, y: int, phi: float, theta: float, spacing_wl: float) -> complex:
+    """Plane-wave phase offset of element (x, y) relative to (0, 0), from yaw/pitch.
+
+    The direction stays in angles, so this reference does not share the
+    sine-space path the weights are steered by.
+    """
+    u, v = math.sin(phi) * math.cos(theta), math.sin(theta)
+    arg = 2.0 * math.pi * spacing_wl * (x * u + y * v)
+    return complex(math.cos(arg), -math.sin(arg))
+
+
 def random_awv(rng: np.random.Generator, nx: int, ny: int) -> Awv:
     return Awv(np.exp(2j * np.pi * rng.uniform(size=(nx, ny))))
 
@@ -69,25 +78,24 @@ def test_element_phase_delta_example():
 
 
 def test_steering_weights_broadside_all_ones():
-    w = steering_weights((8, 8), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    w = steering_weights((8, 8), 0.5, UvPoint(0.0, 0.0))
     np.testing.assert_allclose(w.weights, np.ones((8, 8)), atol=1e-15)
 
 
 def test_steering_weights_cancel_arrival_phase():
     rng = np.random.default_rng(21)
     p = random_uv(rng)
-    d = SteeringDirection.from_uv(p)
-    w = steering_weights((6, 5), 0.5, d)
+    w = steering_weights((6, 5), 0.5, p)
+    e = uv_to_euler(p)
     for x in range(6):
         for y in range(5):
-            product = w.weights[x, y] * element_phase_delta(x, y, d.phi, d.theta, 0.5)
+            product = w.weights[x, y] * element_phase_delta(x, y, e.phi, e.theta, 0.5)
             assert product == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_element_weight_has_unit_magnitude():
     rng = np.random.default_rng(22)
-    d = SteeringDirection.from_uv(random_uv(rng))
-    w = steering_weights((1, 1), 0.5, d)
+    w = steering_weights((1, 1), 0.5, random_uv(rng))
     assert abs(w.weights[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -101,8 +109,7 @@ def test_array_coefficient_matches_brute_force():
         awv = random_awv(rng, nx, ny)
         for _ in range(4):
             p = random_uv(rng)
-            e = uv_to_euler(p)
-            got = array_coefficient(awv, e.phi, e.theta, 0.5)
+            got = array_coefficient(awv, p, 0.5)
             want = brute_coefficient(awv.weights, p.u, p.v, 0.5)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -144,7 +151,7 @@ def test_coefficient_periodicity_in_sine_space():
 
 
 def test_coherent_gain_16x16():
-    d = SteeringDirection.from_uv(UvPoint(0.3, -0.2))
+    d = UvPoint(0.3, -0.2)
     awv = steering_weights((16, 16), 0.5, d)
     gain = 20.0 * math.log10(abs(coefficient_points(awv, 0.3, -0.2, 0.5)[0]))
     assert gain == pytest.approx(20.0 * math.log10(256.0), abs=1e-9)
@@ -152,7 +159,7 @@ def test_coherent_gain_16x16():
 
 
 def test_gain_floor_at_pattern_null():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     # First null of the broadside pattern: u = 1/(N d) = 0.125, which is
     # cell (9, 8) of a 17-point gain map.
     grid = gain_map(awv, 17, 0.5)
@@ -165,9 +172,7 @@ def test_gain_floor_at_pattern_null():
 def test_coefficient_magnitude_bounded_by_element_count(seed):
     rng = np.random.default_rng(seed)
     awv = random_awv(rng, 4, 5)
-    p = random_uv(rng)
-    e = uv_to_euler(p)
-    assert abs(array_coefficient(awv, e.phi, e.theta, 0.5)) <= 20.0 + 1e-9
+    assert abs(array_coefficient(awv, random_uv(rng), 0.5)) <= 20.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +419,7 @@ def test_compose_full_awv_scatter_oracle():
 
 def test_compose_full_awv_validation():
     layout = partition_interleaved(ArrayConfig(), 4)
-    sub = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    sub = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ValueError):
         compose_full_awv([sub] * 3, [1.0] * 3, layout)
     with pytest.raises(ValueError):
@@ -423,7 +428,7 @@ def test_compose_full_awv_validation():
 
 def test_compose_full_awv_rejects_wrong_group_shape():
     layout = partition_interleaved(ArrayConfig(), 4)
-    sub = steering_weights((17, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    sub = steering_weights((17, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ValueError, match="16x16"):
         compose_full_awv([sub] * 4, [1.0] * 4, layout)
 
@@ -458,7 +463,7 @@ def test_origin_corrections_recover_full_aperture_steering():
     layout = partition_interleaved(cfg, 4)
     rng = np.random.default_rng(28)
     for _ in range(5):
-        d = SteeringDirection.from_uv(random_uv(rng, 0.8))
+        d = random_uv(rng, 0.8)
         sub = steering_weights((16, 16), layout.spacing_wl, d)
         shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
         composed = compose_full_awv([sub] * 4, shifts, layout)
@@ -469,7 +474,7 @@ def test_origin_corrections_recover_full_aperture_steering():
 def test_reinforced_gain_equals_full_aperture():
     cfg = ArrayConfig()
     layout = partition_interleaved(cfg, 4)
-    d = SteeringDirection.from_uv(UvPoint(0.25, 0.1))
+    d = UvPoint(0.25, 0.1)
     sub = steering_weights((16, 16), layout.spacing_wl, d)
     shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
     composed = compose_full_awv([sub] * 4, shifts, layout)
@@ -481,12 +486,12 @@ def test_opposed_shifts_cancel_coefficients():
     # Same steering, half the groups phase-flipped: exact destructive sum.
     cfg = ArrayConfig()
     layout = partition_interleaved(cfg, 4)
-    d = SteeringDirection.from_uv(UvPoint(0.15, -0.05))
+    d = UvPoint(0.15, -0.05)
     sub = steering_weights((16, 16), layout.spacing_wl, d)
     base = [origin_phase_correction(layout, k, d) for k in range(4)]
     signs = [1.0, -1.0, -1.0, 1.0]
     composed = compose_full_awv([sub] * 4, [s * b for s, b in zip(signs, base)], layout)
-    c = array_coefficient(composed, d.phi, d.theta, cfg.spacing_wavelengths)
+    c = array_coefficient(composed, d, cfg.spacing_wavelengths)
     assert abs(c) < 1e-6
 
 
@@ -515,7 +520,7 @@ def test_quantize_phases_idempotent():
 
 
 def test_steered_and_quantized_weights_are_read_only():
-    awv = steering_weights((8, 6), 0.5, SteeringDirection.from_uv(UvPoint(0.3, -0.2)))
+    awv = steering_weights((8, 6), 0.5, UvPoint(0.3, -0.2))
     for w in (awv.weights, quantize_phases(awv, 3).weights):
         assert w.flags.c_contiguous and not w.flags.writeable
         np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
@@ -533,8 +538,7 @@ def test_peak_gain_finds_steered_maximum():
     rng = np.random.default_rng(31)
     for _ in range(3):
         p = random_uv(rng, 0.6)
-        d = SteeringDirection.from_uv(p)
-        awv = steering_weights((16, 16), 0.5, d)
+        awv = steering_weights((16, 16), 0.5, p)
         g, at = peak_gain(awv, 0.5)
         assert g == pytest.approx(20.0 * math.log10(256.0), abs=0.01)
         assert math.hypot(at.u - p.u, at.v - p.v) < 0.01

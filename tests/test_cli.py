@@ -568,9 +568,14 @@ def test_seed_override_must_be_non_negative(tmp_path, capsys):
 
 def test_invalid_json_exits_two(tmp_path, capsys):
     # Bad JSON, a config that is not UTF-8, and a rate table that is not UTF-8.
+    # An undecodable file names itself and the offending byte's offset.
     (tmp_path / "rates.csv").write_bytes(b"index,sensitivity_dbm,datarate_mbps\n0,-78,27.5\xff\n")
     configs = {"broken.json": b"{not json", "latin.json": b'{"seed": 1\xff}'}
     configs["table.json"] = json.dumps(dict(STATIC, mcs_table_path="rates.csv")).encode()
+    undecodable = {
+        "latin.json": f"{tmp_path / 'latin.json'}: not UTF-8 (byte 0xff at position 10)",
+        "table.json": f"{tmp_path / 'rates.csv'}: not UTF-8 (byte 0xff at position 46)",
+    }
     for name, text in configs.items():
         cfg = tmp_path / name
         cfg.write_bytes(text)
@@ -578,6 +583,9 @@ def test_invalid_json_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:"), name
         assert err.count("\n") == 1, name
+        if name in undecodable:
+            assert err == f"config error: {undecodable[name]}\n", name
+        assert not (tmp_path / "out").exists(), name
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -17,14 +17,11 @@ from covrage.geometry import (
     Trajectory,
     UvPoint,
     apparent_ap_rotation,
-    direction_to_uv,
     euler_to_quat,
     euler_to_uv,
     hamilton_product,
     quat_to_euler,
-    rotate_vector,
     sample_trajectory,
-    slerp_power,
     trajectory_length,
     uv_to_direction,
     uv_to_euler,
@@ -66,6 +63,43 @@ def random_quaternion(rng: np.random.Generator) -> Quaternion:
     vec = rng.normal(size=4)
     vec /= np.linalg.norm(vec)
     return Quaternion(*vec)
+
+
+# Reference rotations for the trajectory tests: a vector rotated by a
+# quaternion, fractional powers of a rotation, and the sine-space point of a
+# direction vector. Each has its own tests below.
+
+
+def rotate_vector(q: Quaternion, v) -> np.ndarray:
+    """Rotate a 3-vector by q (active rotation)."""
+    vec = np.asarray(v, dtype=float)
+    qv = np.array([q.x, q.y, q.z])
+    t = 2.0 * np.cross(qv, vec)
+    return vec + q.w * t + np.cross(qv, t)
+
+
+def slerp_power(q: Quaternion, a: float) -> Quaternion:
+    """Fractional rotation q**a: same axis, angle scaled by ``a``.
+
+    Uses the shortest-arc representative of q, so powers interpolate the short
+    way around; ``a`` may extrapolate up to 2.
+    """
+    if not 0.0 <= a <= 2.0:
+        raise ValueError(f"power {a} outside [0, 2]")
+    axis, angle = axis_angle_of(q.canonical())
+    if angle < 1e-9:
+        return Quaternion.identity()
+    half = 0.5 * a * angle
+    s = math.sin(half)
+    return Quaternion(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
+
+
+def direction_to_uv(d) -> UvPoint:
+    """Sine-space point of a unit direction; rejects the rear hemisphere."""
+    vec = np.asarray(d, dtype=float)
+    if vec[2] < -1e-9:
+        raise HemisphereError("direction points behind the array plane")
+    return UvPoint(float(vec[1]), float(-vec[0]))
 
 
 # ---------------------------------------------------------------------------

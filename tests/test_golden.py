@@ -59,7 +59,7 @@ DIGESTS_C = {
     },
     "sweep": {
         "manifest.json": "d497667c0162c904e341378b7c5b12a190f0184cd7e25105e6200e9d97e18078",
-        "summary.json": "d2d6a862520feec7d8aad24f617aa44d8be55394066ea1134b8f83a7ebdd8379",
+        "summary.json": "a4257e6b8acbe312c7a9ddcfeafae59cc7be2cb15d78645291d71ebb35977df1",
         "sweep.csv": "03ae49eed2cfb9c643f203ba32f803b2dd9fe79ea61e3c3576b6887702060005",
         "stdout.txt": "dd3e354d9868cb9de3f373db5306a549fda86c60025d7bb2050951ad5b22ca6d",
     },

@@ -14,7 +14,6 @@ import pytest
 from covrage import array_model, harness
 from covrage.array_model import (
     ArrayConfig,
-    SteeringDirection,
     beamwidth_uv,
     coefficient_points,
     peak_gain,
@@ -93,9 +92,8 @@ def test_baseline_start_steers_at_first_sample():
     sc = collinear_scenario(strategy="baseline-start")
     built = build_beam(sc)
     assert built.plan is None
-    d = SteeringDirection.from_uv(built.trajectory[0])
-    want = steering_weights((32, 32), 0.25, d)
-    np.testing.assert_allclose(built.awv.weights, want.weights, atol=1e-12)
+    want = steering_weights((32, 32), 0.25, built.trajectory[0])
+    np.testing.assert_array_equal(built.awv.weights, want.weights)
 
 
 def test_baseline_mid_steers_at_arc_midpoint():
@@ -105,9 +103,8 @@ def test_baseline_mid_steers_at_arc_midpoint():
     u, v = traj.u_array(), traj.v_array()
     cum = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(u), np.diff(v)))])
     target = traj[int(np.argmin(np.abs(cum - cum[-1] / 2.0)))]
-    d = SteeringDirection.from_uv(target)
-    want = steering_weights((32, 32), 0.25, d)
-    np.testing.assert_allclose(built.awv.weights, want.weights, atol=1e-12)
+    want = steering_weights((32, 32), 0.25, target)
+    np.testing.assert_array_equal(built.awv.weights, want.weights)
 
 
 def test_baseline_edge_steers_inside_full_beam_of_start():
@@ -120,9 +117,8 @@ def test_baseline_edge_steers_inside_full_beam_of_start():
     dist = np.hypot(traj.u_array() - traj[0].u, traj.v_array() - traj[0].v)
     inside = np.nonzero(dist <= full_half + 1e-12)[0]
     target = traj[int(inside[-1])]
-    d = SteeringDirection.from_uv(target)
-    want = steering_weights((32, 32), 0.25, d)
-    np.testing.assert_allclose(built.awv.weights, want.weights, atol=1e-12)
+    want = steering_weights((32, 32), 0.25, target)
+    np.testing.assert_array_equal(built.awv.weights, want.weights)
 
 
 def test_covrage_build_carries_plan():
@@ -282,7 +278,7 @@ def test_sweep_baseline_start_collapses_at_far_end():
 
 
 def test_gain_map_broadside_peaks_at_origin():
-    awv = steering_weights((32, 32), 0.25, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    awv = steering_weights((32, 32), 0.25, UvPoint(0.0, 0.0))
     gm = gain_map(awv, 129, 0.25)
     assert gm.resolution == 129
     idx = np.unravel_index(np.nanargmax(gm.gain_dbi), gm.gain_dbi.shape)
@@ -291,14 +287,14 @@ def test_gain_map_broadside_peaks_at_origin():
 
 
 def test_gain_map_marks_outside_disc():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     gm = gain_map(awv, 33, 0.5)
     assert math.isnan(gm.gain_dbi[0, 0])  # corner (-1, -1) is outside
     assert not math.isnan(gm.gain_dbi[16, 16])
 
 
 def test_gain_map_resolution_floor():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ConfigError):
         gain_map(awv, 8, 0.5)
 
@@ -313,8 +309,7 @@ def test_gain_map_each_sub_beam_peaks_at_its_center():
     res = 256
     cell = 2.0 / (res - 1)
     for center in built.plan.beam_centers:
-        d = SteeringDirection.from_uv(center)
-        sub = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
+        sub = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, center)
         gm = gain_map(sub, res, layout.spacing_wl)
         idx = np.unravel_index(np.nanargmax(gm.gain_dbi), gm.gain_dbi.shape)
         assert abs(gm.axis[idx[0]] - center.u) <= cell
@@ -352,7 +347,7 @@ def test_gain_map_mirror_symmetry_for_symmetric_weights():
     gm = gain_map(built.awv, 128, 0.25)
     np.testing.assert_allclose(gm.gain_dbi, gm.gain_dbi[:, ::-1], atol=1e-6, equal_nan=True)
     # Same property for a plain u-axis steered full-aperture beam.
-    awv = steering_weights((32, 32), 0.25, SteeringDirection.from_uv(UvPoint(0.3, 0.0)))
+    awv = steering_weights((32, 32), 0.25, UvPoint(0.3, 0.0))
     gm2 = gain_map(awv, 128, 0.25)
     np.testing.assert_allclose(gm2.gain_dbi, gm2.gain_dbi[:, ::-1], atol=1e-6, equal_nan=True)
 

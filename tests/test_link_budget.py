@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from covrage.array_model import ArrayConfig, Awv, SteeringDirection, beamwidth_uv, steering_weights
+from covrage.array_model import ArrayConfig, Awv, beamwidth_uv, steering_weights
 from covrage.errors import ConfigError
 from covrage.geometry import Trajectory, UvPoint
 from covrage.harness import sweep_trajectory
@@ -82,14 +82,14 @@ def test_received_power_examples():
     res = swept(ISOTROPIC, [[0.3, 0.1]], LinkParams(eirp_dbm=30.0, distance_m=1.0))
     assert res.rx_power_dbm[0] == pytest.approx(-38.0)
     # 16x16 broadside coherent gain is 20 log10(256) = 48.16 dBi.
-    broadside = steering_weights((16, 16), 0.5, SteeringDirection(0.0, 0.0))
+    broadside = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     res = swept(broadside, [[0.0, 0.0]], LinkParams(eirp_dbm=30.0, distance_m=2.0))
     assert res.rx_power_dbm[0] == pytest.approx(4.14, abs=0.005)
 
 
 def test_received_power_gain_linearity():
     params = LinkParams(eirp_dbm=20.0, distance_m=3.0)
-    awv = steering_weights((16, 16), 0.5, SteeringDirection(0.0, 0.0))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     res = swept(awv, [[0.0, 0.0], [0.03, 0.0], [0.06, 0.02]], params)
     offset = res.rx_power_dbm - res.gain_dbi
     assert np.ptp(offset) == pytest.approx(0.0, abs=1e-12)
@@ -204,18 +204,18 @@ def test_load_mcs_table_from_path(tmp_path):
 
 
 def test_noise_penalty_zero_at_own_peak():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.2, 0.15)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.2, 0.15))
     assert swept(awv, [[0.2, 0.15]]).noise_penalty_db[0] == pytest.approx(0.0, abs=0.02)
 
 
 def test_noise_penalty_three_db_at_half_width():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.0, 0.0)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     off = [[beamwidth_uv(16, 0.5) / 2.0, 0.0]]
     assert swept(awv, off).noise_penalty_db[0] == pytest.approx(3.0, abs=0.35)
 
 
 def test_noise_penalty_global_phase_invariant():
-    awv = steering_weights((16, 16), 0.5, SteeringDirection.from_uv(UvPoint(0.1, -0.2)))
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.1, -0.2))
     rotated = Awv(awv.weights * np.exp(0.7j))
     a = swept(awv, [[0.3, 0.1]]).noise_penalty_db[0]
     b = swept(rotated, [[0.3, 0.1]]).noise_penalty_db[0]

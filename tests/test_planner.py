@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from covrage import planner
 from covrage.array_model import (
     ArrayConfig,
-    SteeringDirection,
     array_coefficient,
     beamwidth_uv,
     coefficient_points,
@@ -19,7 +18,7 @@ from covrage.array_model import (
     partition_localized,
     steering_weights,
 )
-from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory, uv_to_euler
+from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory
 from covrage.planner import (
     BeamPlan,
     allocate_sub_arrays,
@@ -259,8 +258,7 @@ def test_cover_random_arcs_every_sample_covered(seed):
 
 
 def make_beam(center: UvPoint, layout):
-    d = SteeringDirection.from_uv(center)
-    return steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
+    return steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, center)
 
 
 def test_phase_sync_identical_beams_unit_shift():
@@ -280,9 +278,8 @@ def test_phase_sync_aligns_phases_at_overlaps():
     assert skipped == ()
     assert shifts[0] == 1.0 + 0.0j
     for k, o in enumerate(overlaps):
-        e = uv_to_euler(o)
-        prev = shifts[k] * array_coefficient(beams[k], e.phi, e.theta, layout.spacing_wl)
-        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], e.phi, e.theta, layout.spacing_wl)
+        prev = shifts[k] * array_coefficient(beams[k], o, layout.spacing_wl)
+        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], o, layout.spacing_wl)
         # Shifted coefficients agree in phase: their sum is fully constructive.
         assert abs(prev + nxt) == pytest.approx(abs(prev) + abs(nxt), abs=1e-6)
         assert cmath.phase(prev / nxt) == pytest.approx(0.0, abs=1e-9)
@@ -351,8 +348,7 @@ def test_covrage_plan_static_head():
     assert not plan.extrapolated
     assert plan.overlap_points == ()
     # All four groups reinforce one beam: the full aperture steered as one.
-    d = SteeringDirection.from_uv(ap)
-    want = steering_weights((cfg.nx, cfg.ny), cfg.spacing_wavelengths, d)
+    want = steering_weights((cfg.nx, cfg.ny), cfg.spacing_wavelengths, ap)
     np.testing.assert_allclose(awv.weights, want.weights, atol=1e-9)
     c = coefficient_points(awv, ap.u, ap.v, cfg.spacing_wavelengths)[0]
     assert 20.0 * math.log10(abs(c)) == pytest.approx(60.21, abs=0.1)
@@ -389,7 +385,7 @@ def test_covrage_plan_composition_scatter_oracle():
     group_shift = {}
     group_beam = {}
     for b, groups in enumerate(plan.assignment):
-        d = SteeringDirection.from_uv(plan.beam_centers[b])
+        d = plan.beam_centers[b]
         weights = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, d)
         for g in groups:
             group_shift[g] = plan.sync_shifts[b] * origin_phase_correction(layout, g, d)
@@ -402,6 +398,37 @@ def test_covrage_plan_composition_scatter_oracle():
             lx, ly = local_x[x, y], local_y[x, y]
             expected[x, y] = group_shift[g] * group_beam[g].weights[lx, ly]
     np.testing.assert_allclose(awv.weights, expected, atol=1e-12)
+
+
+def test_covrage_plan_steers_at_its_own_centers_bit_for_bit():
+    # The weights are a closed form of the plan alone: every group steered at
+    # its beam's centre, times its beam's sync shift and its origin phasor.
+    cfg = ArrayConfig(64, 64)
+    rng = np.random.default_rng(41)
+    for length in np.linspace(0.1, 0.37, 40):
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        q2 = Quaternion.from_axis_angle((math.cos(a), math.sin(a), 0.0), 2.0 * math.asin(length / 2.0))
+        ap = UvPoint(*rng.uniform(-0.2, 0.2, size=2))
+        awv, plan = covrage_plan(Quaternion.identity(), q2, ap, cfg)
+        layout = plan.layout
+        m = layout.stride
+        lx = np.arange(layout.side_x)[:, None]
+        ly = np.arange(layout.side_y)[None, :]
+        groups = np.empty((layout.n_sub, layout.side_x, layout.side_y), dtype=complex)
+        shift = np.empty(layout.n_sub, dtype=complex)
+        for c, sync, members in zip(plan.beam_centers, plan.sync_shifts, plan.assignment):
+            arg = 2.0 * np.pi * layout.spacing_wl * (lx * c.u + ly * c.v)
+            for g in members:
+                groups[g] = np.cos(arg) + 1j * np.sin(arg)
+                ox, oy = layout.origin(g)
+                origin_arg = 2.0 * math.pi * cfg.spacing_wavelengths * (float(ox) * c.u + float(oy) * c.v)
+                shift[g] = sync * complex(math.cos(origin_arg), math.sin(origin_arg))
+        composed = shift[:, None, None] * groups
+        want = np.empty((cfg.nx, cfg.ny), dtype=complex)
+        for g in range(layout.n_sub):
+            ox, oy = layout.origin(g)
+            want[ox + m * lx, oy + m * ly] = composed[g]
+        np.testing.assert_array_equal(awv.weights, want)
 
 
 def test_covrage_plan_sync_override_callable():
