@@ -206,7 +206,13 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoi
     arg = 2.0 * np.pi * spacing_wl * (
         np.arange(nx)[:, None] * direction.u + np.arange(ny)[None, :] * direction.v
     )
-    return Awv._trusted(np.cos(arg) + 1j * np.sin(arg))
+    # cos and sin go straight into one complex grid, with no temporaries.
+    # Adding 0.0 turns a -0.0 sine into +0.0, as cos(arg) + 1j*sin(arg) does.
+    w = np.empty((nx, ny), dtype=complex)
+    np.cos(arg, out=w.real)
+    np.sin(arg, out=w.imag)
+    w.imag += 0.0
+    return Awv._trusted(w)
 
 
 def array_coefficient(awv: Awv, p: UvPoint, spacing_wl: float) -> complex:
@@ -280,16 +286,34 @@ def quantize_phases(awv: Awv, bits: int) -> Awv:
     return Awv._trusted(np.exp(1j * step * np.round(np.angle(awv.weights) / step)))
 
 
-def coefficient_points(awv: Awv, u, v, spacing_wl: float) -> np.ndarray:
-    """Receive coefficients at paired directions (u[k], v[k])."""
+def path_phasors(shape: tuple[int, int], u, v, spacing_wl: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis plane-wave offsets along paired directions (u[k], v[k]).
+
+    Returns ``eu[x, k] = exp(-2j pi d x u[k])`` and ``ev[y, k]`` likewise, read-only.
+    They depend on the lattice and the path, not the weights, so one pair
+    serves every weight vector of that shape evaluated on the same path.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ValueError("u and v must pair up")
-    nx, ny = awv.shape
+    nx, ny = shape
     eu = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(nx), u))
     ev = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(ny), v))
+    eu.setflags(write=False)
+    ev.setflags(write=False)
+    return eu, ev
+
+
+def path_coefficients(awv: Awv, phasors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Receive coefficients at the directions ``phasors`` were built for."""
+    eu, ev = phasors
     return np.einsum("xk,xy,yk->k", eu, awv.weights, ev, optimize=True)
+
+
+def coefficient_points(awv: Awv, u, v, spacing_wl: float) -> np.ndarray:
+    """Receive coefficients at paired directions (u[k], v[k])."""
+    return path_coefficients(awv, path_phasors(awv.shape, u, v, spacing_wl))
 
 
 def coefficient_grid(awv: Awv, u: np.ndarray, v: np.ndarray, spacing_wl: float) -> np.ndarray:

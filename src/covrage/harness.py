@@ -14,14 +14,19 @@ entry. The noise penalty against the pattern's hemisphere-wide maximum needs a
 peak search over the whole front hemisphere; a SweepResult runs it on the
 first read of its peak or penalty, and keeps its weight vector until then.
 Comparisons read only the on-path gain and rate, so they never search.
-iter_strategies yields a comparison's variants one at a time, which keeps one
+
+A comparison runs six variants on one path and shares what they have in
+common: the trajectory is sampled once, the path phasors every sweep
+contracts with are built once, and no_sync recomposes the plain covrage
+plan's geometry with its seeded shifts instead of planning again. Each row
+equals, bit for bit, the one build_beam and sweep_trajectory give for that
+variant alone. iter_strategies yields the rows one at a time, which keeps one
 variant's weights alive instead of six on large arrays. All results are
 deterministic functions of the scenario, including the seeded random pieces.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +43,8 @@ from .array_model import (
     coefficient_grid,
     coefficient_points,
     partition_interleaved,
+    path_coefficients,
+    path_phasors,
     peak_gain,
     quantize_phases,
     steering_weights,
@@ -56,9 +63,9 @@ from .link_budget import (
     McsEntry,
     default_mcs_table,
     path_loss,
-    select_mcs,
+    select_mcs_levels,
 )
-from .planner import BeamPlan, covrage_plan, plan_trajectory
+from .planner import BeamPlan, covrage_plan, plan_geometry, plan_trajectory, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
@@ -111,11 +118,11 @@ class BeamBuild:
     trajectory: Trajectory
 
 
-def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
-    if sc.strategy == "baseline-start":
+def _baseline_target(strategy: str, cfg: ArrayConfig, traj: Trajectory) -> UvPoint:
+    if strategy == "baseline-start":
         return traj[0]
-    if sc.strategy == "baseline-edge":
-        width = beamwidth_uv(min(sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths)
+    if strategy == "baseline-edge":
+        width = beamwidth_uv(min(cfg.nx, cfg.ny), cfg.spacing_wavelengths)
         dist = np.hypot(*(traj.uv - traj.uv[0]).T)
         inside = np.nonzero(dist <= width / 2.0 + 1e-12)[0]
         return traj[int(inside[-1])]
@@ -125,14 +132,24 @@ def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
     return traj[int(np.argmin(np.abs(cum - cum[-1] / 2.0)))]
 
 
+def _baseline_weights(strategy: str, cfg: ArrayConfig, traj: Trajectory) -> Awv:
+    return steering_weights((cfg.nx, cfg.ny), cfg.spacing_wavelengths, _baseline_target(strategy, cfg, traj))
+
+
+def _seeded_shifts(seed: int):
+    """no_sync's sync override: one seeded uniform phase per beam."""
+    rng = np.random.default_rng(seed)
+    return lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def _quantized(awv: Awv, phase_bits: int | None) -> Awv:
+    return awv if phase_bits is None else quantize_phases(awv, phase_bits)
+
+
 def build_beam(sc: Scenario) -> BeamBuild:
     """Construct the weight vector a scenario's strategy calls for."""
     plan = None
     if sc.strategy == "covrage":
-        override = None
-        if sc.no_sync:
-            rng = np.random.default_rng(sc.seed)
-            override = lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
         awv, plan = covrage_plan(
             sc.orientation_start,
             sc.orientation_end,
@@ -141,7 +158,7 @@ def build_beam(sc: Scenario) -> BeamBuild:
             interleave=sc.interleave,
             n_samples=sc.n_samples,
             delayed_first=sc.delayed_first,
-            sync_override=override,
+            sync_override=_seeded_shifts(sc.seed) if sc.no_sync else None,
         )
         traj = plan.trajectory
     else:
@@ -149,12 +166,8 @@ def build_beam(sc: Scenario) -> BeamBuild:
             sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array,
             sc.interleave, sc.n_samples,
         )
-        awv = steering_weights(
-            (sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, _baseline_target(sc, traj)
-        )
-    if sc.phase_bits is not None:
-        awv = quantize_phases(awv, sc.phase_bits)
-    return BeamBuild(sc, awv, plan, traj)
+        awv = _baseline_weights(sc.strategy, sc.array, traj)
+    return BeamBuild(sc, _quantized(awv, sc.phase_bits), plan, traj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,18 +250,29 @@ def sweep_trajectory(
     mcs_table: tuple[McsEntry, ...] | None = None,
 ) -> SweepResult:
     """Receive gain, received power, and rate along a path; the peak on first read."""
-    table = mcs_table if mcs_table is not None else default_mcs_table()
     coeff = coefficient_points(awv, trajectory.u_array(), trajectory.v_array(), spacing_wl)
+    return _sweep_result(coeff, awv, trajectory, link, spacing_wl, mcs_table)
+
+
+def _sweep_result(
+    coeff: np.ndarray,
+    awv: Awv,
+    trajectory: Trajectory,
+    link: LinkParams,
+    spacing_wl: float,
+    mcs_table: tuple[McsEntry, ...] | None,
+) -> SweepResult:
+    """A sweep from the weights' receive coefficients at the trajectory's samples."""
+    table = mcs_table if mcs_table is not None else default_mcs_table()
     power = np.abs(coeff) ** 2
     gains = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
     loss = path_loss(link.distance_m, link)
     rx = link.eirp_dbm - loss + gains
-    mcs = tuple(select_mcs(float(level), table) for level in rx)
     return SweepResult(
         trajectory=trajectory,
         gain_dbi=gains,
         rx_power_dbm=rx,
-        mcs=mcs,
+        mcs=select_mcs_levels(rx, table),
         awv=awv,
         spacing_wl=spacing_wl,
     )
@@ -382,42 +406,36 @@ class CompareRow(NamedTuple):
     result: SweepResult
 
 
-_VARIANTS = (
-    ("covrage", ""),
-    ("baseline-start", ""),
-    ("baseline-edge", ""),
-    ("baseline-mid", ""),
-    ("covrage", "no_sync"),
-    ("covrage", "delayed_first"),
-)
-
-
-def _compare_row(sc: Scenario, strategy: str, ablation: str) -> CompareRow:
-    variant = dataclasses.replace(
-        sc,
-        strategy=strategy,
-        no_sync=ablation == "no_sync",
-        delayed_first=ablation == "delayed_first",
-    )
-    built = build_beam(variant)
-    result = sweep_trajectory(
-        built.awv,
-        built.trajectory,
-        variant.link,
-        variant.array.spacing_wavelengths,
-        variant.mcs_table,
-    )
-    beams = built.plan.n_beams if built.plan is not None else 1
-    return CompareRow(strategy, ablation, beams, result)
-
-
 def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
     """Every strategy plus both ablations on one scenario, one row at a time.
 
-    Each row holds its variant's weight vector, so a caller that drops a row
-    before taking the next keeps one large array's weights alive, not six.
+    The scenario's own strategy and ablation flags are ignored. The variants
+    share one sampled trajectory and one pair of path phasors, and no_sync
+    reuses the covrage plan's geometry. Each row holds its variant's weight
+    vector, so a caller that drops a row before taking the next keeps one
+    large array's weights alive, not six; each variant's weights go straight
+    into row(), so no local of this generator holds them between rows.
     """
-    return (_compare_row(sc, s, a) for s, a in _VARIANTS)
+    cfg = sc.array
+    traj = plan_trajectory(
+        sc.orientation_start, sc.orientation_end, sc.ap_direction, cfg, sc.interleave, sc.n_samples
+    )
+    phasors = path_phasors((cfg.nx, cfg.ny), traj.u_array(), traj.v_array(), cfg.spacing_wavelengths)
+
+    def row(strategy: str, ablation: str, awv: Awv, plan: BeamPlan | None = None) -> CompareRow:
+        awv = _quantized(awv, sc.phase_bits)
+        coeff = path_coefficients(awv, phasors)
+        result = _sweep_result(coeff, awv, traj, sc.link, cfg.spacing_wavelengths, sc.mcs_table)
+        return CompareRow(strategy, ablation, plan.n_beams if plan is not None else 1, result)
+
+    geometry = plan_geometry(traj, cfg, interleave=sc.interleave)
+    yield row("covrage", "", *synthesize_plan(geometry))
+    for strategy in STRATEGIES[1:]:
+        yield row(strategy, "", _baseline_weights(strategy, cfg, traj))
+    yield row("covrage", "no_sync", *synthesize_plan(geometry, _seeded_shifts(sc.seed)))
+    del geometry
+    delayed = plan_geometry(traj, cfg, interleave=sc.interleave, delayed_first=True)
+    yield row("covrage", "delayed_first", *synthesize_plan(delayed))
 
 
 def compare_strategies(sc: Scenario) -> list[CompareRow]:

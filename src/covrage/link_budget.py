@@ -8,7 +8,9 @@ the exact free-space reference for the configured frequency instead.
 Rate selection compares a received level against per-entry sensitivities from
 the IEEE 802.11ad single-carrier set, shipped as a CSV (robust control mode at
 27.5 Mbps, then 385 through 4620 Mbps across a 15 dB sensitivity span). Levels
-below the control sensitivity yield the LINK_LOST sentinel.
+below the control sensitivity yield the LINK_LOST sentinel. Sweeps select for
+all their levels at once (select_mcs_levels); select_mcs is the same rule for
+one level.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
+
+import numpy as np
 
 from .errors import ConfigError, read_utf8
 
@@ -171,3 +175,20 @@ def select_mcs(level_db: float, table: tuple[McsEntry, ...]) -> McsEntry:
         if entry.sensitivity_dbm <= level_db:
             best = entry
     return best if best is not None else LINK_LOST
+
+
+def select_mcs_levels(levels, table: tuple[McsEntry, ...]) -> tuple[McsEntry, ...]:
+    """select_mcs for each level of a sequence, in one search over the sensitivities.
+
+    With sensitivities increasing strictly, the number of entries a level
+    meets is its right insertion point among them. A NaN meets none:
+    searchsorted would place it past the top entry, so it is mapped to
+    LINK_LOST as the per-level rule does.
+    """
+    if not table:
+        raise ConfigError("empty rate table")
+    levels = np.asarray(levels, dtype=float)
+    met = np.searchsorted([entry.sensitivity_dbm for entry in table], levels, side="right")
+    met[np.isnan(levels)] = 0
+    choices = (LINK_LOST, *table)
+    return tuple(choices[k] for k in met.tolist())

@@ -6,7 +6,9 @@ budget, walks the sampled path placing beam centers greedily so that every
 sample sits within half a beamwidth of some center, assigns groups to beams
 (reinforcing with spares), aligns the phases of adjacent beams where their
 coverage discs meet, and composes the per-group weights into one full-array
-weight vector.
+weight vector. The first steps up to steering (plan_geometry) depend only on
+the path, so plans that differ only in their shifts share them and repeat
+just the sync and composition (synthesize_plan).
 
 Phase alignment compares group coefficients in group-local coordinates; the
 physical origin offset of each group is cancelled separately by a per-group
@@ -315,31 +317,30 @@ def plan_trajectory(
     return sample_trajectory(q1, q2, ap_dir, n)
 
 
-def covrage_plan(
-    q1: Quaternion,
-    q2: Quaternion,
-    ap_dir: UvPoint,
-    cfg: ArrayConfig,
-    *,
-    interleave: int = 4,
-    n_samples: int | None = None,
-    delayed_first: bool = False,
-    sync_override: Callable[[int], Sequence[complex]] | None = None,
-) -> tuple[Awv, BeamPlan]:
-    """Full pipeline from an orientation pair to a composed weight vector.
+class PlanGeometry(NamedTuple):
+    """A plan before phase sync: the layout, the cover, the groups and each beam's steering.
 
-    Samples the apparent AP trajectory, picks the quadrant-split depth for its
-    length, covers it with beam centers, allocates groups (spares reinforce),
-    steers each group, synchronizes adjacent beams, and composes everything
-    into one full-array weight vector.
+    ``awvs`` holds each beam's group-local weights, in beam order. Plans
+    that differ only in their shifts share one geometry.
+    """
 
-    The placed beam count is authoritative: if it exceeds the group budget the
-    split depth is raised and coverage rerun. sync_override, called with the
-    beam count, replaces the computed shifts with one unit phasor per beam;
-    the first shift is then taken from the override as well.
+    layout: SubArrayLayout
+    cover: CoverResult
+    assignment: tuple[tuple[int, ...], ...]
+    awvs: tuple[Awv, ...]
+    trajectory: Trajectory
+
+
+def plan_geometry(
+    traj: Trajectory, cfg: ArrayConfig, *, interleave: int = 4, delayed_first: bool = False
+) -> PlanGeometry:
+    """Cover a sampled path: split depth, beam centers, group allocation, steering.
+
+    The split depth starts from the path length. The placed beam count is
+    authoritative: if it exceeds the group budget the split depth is raised
+    and coverage rerun.
     """
     layout = partition_interleaved(cfg, interleave)
-    traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave, n_samples)
     length = trajectory_length(traj)
     for _ in range(subdivision_level(length, layout.beam_width, interleave)):
         layout = partition_localized(layout)
@@ -348,11 +349,22 @@ def covrage_plan(
         if len(cover.centers) <= layout.n_sub:
             break
         layout = partition_localized(layout)
-
     assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
     shape = (layout.side_x, layout.side_y)
-    awvs = [steering_weights(shape, layout.spacing_wl, center) for center in cover.centers]
+    awvs = tuple(steering_weights(shape, layout.spacing_wl, center) for center in cover.centers)
+    return PlanGeometry(layout, cover, assignment, awvs, traj)
 
+
+def synthesize_plan(
+    geometry: PlanGeometry, sync_override: Callable[[int], Sequence[complex]] | None = None
+) -> tuple[Awv, BeamPlan]:
+    """Sync a geometry's beams and compose them into one full-array weight vector.
+
+    sync_override, called with the beam count, replaces the computed shifts
+    with one unit phasor per beam; the first shift is then taken from the
+    override as well.
+    """
+    layout, cover, assignment, awvs, traj = geometry
     if sync_override is not None:
         shifts = tuple(complex(v) for v in sync_override(len(awvs)))
         if len(shifts) != len(awvs):
@@ -381,3 +393,25 @@ def covrage_plan(
         sync_skipped=skipped,
     )
     return awv, plan
+
+
+def covrage_plan(
+    q1: Quaternion,
+    q2: Quaternion,
+    ap_dir: UvPoint,
+    cfg: ArrayConfig,
+    *,
+    interleave: int = 4,
+    n_samples: int | None = None,
+    delayed_first: bool = False,
+    sync_override: Callable[[int], Sequence[complex]] | None = None,
+) -> tuple[Awv, BeamPlan]:
+    """Full pipeline from an orientation pair to a composed weight vector.
+
+    Samples the apparent AP trajectory, covers it (plan_geometry), then
+    synchronizes adjacent beams and composes everything into one full-array
+    weight vector (synthesize_plan).
+    """
+    traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave, n_samples)
+    geometry = plan_geometry(traj, cfg, interleave=interleave, delayed_first=delayed_first)
+    return synthesize_plan(geometry, sync_override)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covrage.array_model import (
     ArrayConfig,
@@ -91,6 +91,35 @@ def test_steering_weights_cancel_arrival_phase():
         for y in range(5):
             product = w.weights[x, y] * element_phase_delta(x, y, e.phi, e.theta, 0.5)
             assert product == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 300),
+    st.floats(-0.7, 0.7),
+    st.floats(-0.7, 0.7),
+    st.sampled_from((0.25, 0.5, 1.0)),
+)
+# Negative u and v make element (0, 0)'s argument -0.0, whose sine is -0.0.
+@example(3, 2, -0.25, -0.5, 0.5)
+def test_steering_weights_bit_equal_cos_plus_i_sin(nx, ny, u, v, spacing):
+    # Compared as integers, so a -0.0 where cos + 1j*sin gives +0.0 counts.
+    w = steering_weights((nx, ny), spacing, UvPoint(u, v)).weights
+    arg = 2.0 * np.pi * spacing * (np.arange(nx)[:, None] * u + np.arange(ny)[None, :] * v)
+    want = np.cos(arg) + 1j * np.sin(arg)
+    np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64))
+
+
+def test_steering_weights_allocates_argument_and_one_complex_grid():
+    tracemalloc.start()
+    try:
+        awv = steering_weights((1024, 1024), 0.25, UvPoint(0.3, -0.2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arg_bytes = 1024 * 1024 * 8
+    assert peak <= arg_bytes + awv.weights.nbytes + 2**16
 
 
 def test_single_element_weight_has_unit_magnitude():

@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covrage import array_model, harness
 from covrage.array_model import (
@@ -17,6 +19,7 @@ from covrage.array_model import (
     beamwidth_uv,
     coefficient_points,
     peak_gain,
+    quantize_phases,
     steering_weights,
 )
 from covrage.errors import ConfigError
@@ -34,6 +37,7 @@ from covrage.harness import (
     sweep_trajectory,
 )
 from covrage.link_budget import LinkParams
+from covrage.planner import covrage_plan
 
 W16 = beamwidth_uv(16, 0.5)
 
@@ -459,6 +463,104 @@ def test_iter_strategies_yields_the_compare_rows():
     for a, b in zip(listed, streamed):
         np.testing.assert_array_equal(a.result.gain_dbi, b.result.gain_dbi)
         np.testing.assert_array_equal(a.result.rx_power_dbm, b.result.rx_power_dbm)
+
+
+COMPARE_VARIANTS = (
+    ("covrage", ""),
+    ("baseline-start", ""),
+    ("baseline-edge", ""),
+    ("baseline-mid", ""),
+    ("covrage", "no_sync"),
+    ("covrage", "delayed_first"),
+)
+
+
+def oracle_rows(sc: Scenario):
+    """Each variant on its own: build_beam plus sweep_trajectory, nothing shared."""
+    for strategy, ablation in COMPARE_VARIANTS:
+        variant = dataclasses.replace(
+            sc, strategy=strategy, no_sync=ablation == "no_sync", delayed_first=ablation == "delayed_first"
+        )
+        built = build_beam(variant)
+        result = sweep_trajectory(
+            built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, sc.mcs_table
+        )
+        yield strategy, ablation, built.plan.n_beams if built.plan else 1, result
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from((16, 32, 64)),
+    interleave=st.sampled_from((4, 16)),
+    phase_bits=st.sampled_from((None, 1, 2)),
+    n_samples=st.sampled_from((None, 64, 97, 256)),
+    turn_seed=st.integers(0, 2**16),
+    length=st.floats(0.02, 0.4),
+    seed=st.integers(0, 2**16),
+)
+def test_iter_strategies_bit_equal_to_independent_variants(
+    n, interleave, phase_bits, n_samples, turn_seed, length, seed
+):
+    q1, q2 = random_head_rotation(turn_seed, length, UvPoint(0.1, -0.05))
+    sc = Scenario(
+        array=ArrayConfig(n, n),
+        orientation_start=q1,
+        orientation_end=q2,
+        ap_direction=UvPoint(0.1, -0.05),
+        n_samples=n_samples,
+        interleave=interleave,
+        phase_bits=phase_bits,
+        seed=seed,
+    )
+    try:
+        expected = list(oracle_rows(sc))
+    except ConfigError:  # a path too long for the groups this array can split into
+        with pytest.raises(ConfigError):
+            list(iter_strategies(sc))
+        return
+    rows = list(iter_strategies(sc))
+    assert [(r.strategy, r.ablation, r.beam_count) for r in rows] == [e[:3] for e in expected]
+    for row, (*_, want) in zip(rows, expected):
+        got = row.result
+        assert np.array_equal(got.trajectory.uv, want.trajectory.uv)
+        assert np.array_equal(got.awv.weights, want.awv.weights)
+        assert np.array_equal(got.gain_dbi, want.gain_dbi)
+        assert np.array_equal(got.rx_power_dbm, want.rx_power_dbm)
+        assert got.mcs == want.mcs
+
+    # no_sync against the planner called directly with the seeded override.
+    rng = np.random.default_rng(seed)
+    awv, plan = covrage_plan(
+        q1, q2, sc.ap_direction, sc.array, interleave=interleave, n_samples=n_samples,
+        sync_override=lambda count: np.exp(2j * np.pi * rng.uniform(size=count)),
+    )
+    if phase_bits is not None:
+        awv = quantize_phases(awv, phase_bits)
+    assert np.array_equal(rows[4].result.awv.weights, awv.weights)
+    assert rows[4].beam_count == plan.n_beams
+
+
+def test_iter_strategies_keeps_one_dense_awv_alive():
+    # Rows dropped one by one: the peak is a bounded multiple of one dense
+    # weight vector plus the path phasors every sweep shares. Keeping all six
+    # rows alive instead peaks above seven dense weight vectors.
+    n = 512
+    q1, q2 = random_head_rotation(5, 0.3)
+    sc = Scenario(array=ArrayConfig(n, n), orientation_start=q1, orientation_end=q2, n_samples=256)
+    dense = n * n * 16
+    phasors = 2 * n * 256 * 16
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        count = 0
+        for row in iter_strategies(sc):
+            count += 1
+            del row
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 6
+    assert peak - base <= 3 * dense + phasors
 
 
 def test_covrage_never_below_baselines_over_seeds():

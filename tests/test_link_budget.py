@@ -24,6 +24,7 @@ from covrage.link_budget import (
     load_mcs_table,
     path_loss,
     select_mcs,
+    select_mcs_levels,
 )
 
 # A single element receives with 0 dBi in every direction.
@@ -149,6 +150,41 @@ def test_select_mcs_monotone(a, b):
     table = default_mcs_table()
     lo, hi = sorted((a, b))
     assert select_mcs(lo, table).datarate_mbps <= select_mcs(hi, table).datarate_mbps
+
+
+# A table off the packaged one's grid: negative and positive, uneven steps.
+CUSTOM_TABLE = (
+    McsEntry(3, -91.25, 10.0),
+    McsEntry(7, -60.0, 20.0),
+    McsEntry(8, -0.5, 25.0),
+    McsEntry(11, 0.0, 40.0),
+    McsEntry(12, 17.125, 80.0),
+)
+
+
+@pytest.mark.parametrize("table", [default_mcs_table(), CUSTOM_TABLE], ids=["packaged", "custom"])
+def test_select_mcs_levels_equals_per_level_rule(table):
+    sens = np.array([e.sensitivity_dbm for e in table])
+    levels = np.concatenate([
+        sens,  # each sensitivity exactly
+        np.nextafter(sens, -np.inf),  # one ulp below
+        np.nextafter(sens, np.inf),  # one ulp above
+        [sens[0] - 1.0, -1e300, -np.inf],  # below the lowest: LINK_LOST
+        [sens[-1] + 1.0, 1e300, np.inf],  # above the highest
+        [np.nan, -np.nan],  # no comparison holds: LINK_LOST, not the top entry
+    ])
+    got = select_mcs_levels(levels, table)
+    assert got == tuple(select_mcs(float(level), table) for level in levels)
+    assert got[-2] is LINK_LOST and got[-1] is LINK_LOST
+    n = len(table)
+    assert got[:n] == table  # a level meeting a sensitivity exactly selects that entry
+    assert got[n] is LINK_LOST and got[n + 1 : 2 * n] == table[:-1]
+
+
+def test_select_mcs_levels_empty_inputs():
+    assert select_mcs_levels(np.array([]), default_mcs_table()) == ()
+    with pytest.raises(ConfigError):
+        select_mcs_levels(np.array([-60.0]), ())
 
 
 def test_load_mcs_table_roundtrip_and_comments():
