@@ -251,17 +251,12 @@ def _scenario_dict(sc: Scenario, mcs_path: str | None) -> dict:
     return doc
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    chosen = args.out_dir or os.environ.get("COVRAGE_OUT_DIR") or "covrage-out"
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(
-    out: Path, command: str, args: argparse.Namespace, sc: Scenario,
-    mcs_path: str | None, extras: dict | None = None,
-) -> None:
+def _start_run(
+    command: str, args: argparse.Namespace, sc: Scenario, mcs_path: str | None, extras: dict | None = None
+) -> Path:
+    """Create the output directory and write its manifest, the run's first output; return the directory."""
+    out = Path(args.out_dir or os.environ.get("COVRAGE_OUT_DIR") or "covrage-out")
+    out.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": "covrage-manifest-v1",
         "tool_version": __version__,
@@ -274,6 +269,7 @@ def _write_manifest(
     if extras:
         doc.update(extras)
     _write(out / "manifest.json", json.dumps(doc, indent=2) + "\n")
+    return out
 
 
 def _ablation_label(sc: Scenario) -> str:
@@ -284,8 +280,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     if sc.strategy != "covrage":
         raise ConfigError("the plan command requires the covrage strategy")
-    out = _out_dir(args)
-    _write_manifest(out, "plan", args, sc, mcs_path)
+    out = _start_run("plan", args, sc, mcs_path)
     built = build_beam(sc)
     plan = built.plan
     assert plan is not None
@@ -310,8 +305,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    out = _out_dir(args)
-    _write_manifest(out, "sweep", args, sc, mcs_path)
+    out = _start_run("sweep", args, sc, mcs_path)
     built = build_beam(sc)
     res = sweep_trajectory(
         built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, sc.mcs_table
@@ -349,8 +343,7 @@ def cmd_gainmap(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     if args.resolution < 16:
         raise ConfigError("gain map resolution must be at least 16")
-    out = _out_dir(args)
-    _write_manifest(out, "gainmap", args, sc, mcs_path, {"resolution": args.resolution})
+    out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
     built = build_beam(sc)
     grid = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
     header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
@@ -362,8 +355,7 @@ def cmd_gainmap(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    out = _out_dir(args)
-    _write_manifest(out, "compare", args, sc, mcs_path)
+    out = _start_run("compare", args, sc, mcs_path)
     stats = ("min_gain_dbi", "max_gain_dbi", "gain_range_db", "min_mcs_index", "min_datarate_mbps")
     print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
     cells = []

@@ -15,21 +15,21 @@ peak search over the whole front hemisphere; a SweepResult runs it on the
 first read of its peak or penalty, and keeps its weight vector until then.
 Comparisons read only the on-path gain and rate, so they never search.
 
-A comparison runs six variants on one path and shares what they have in
-common: the trajectory is sampled once, the path phasors every sweep
-contracts with are built once, and no_sync recomposes the plain covrage
-plan's geometry with its seeded shifts instead of planning again. Each row
-equals, bit for bit, the one build_beam and sweep_trajectory give for that
-variant alone. iter_strategies yields the rows one at a time, which keeps one
-variant's weights alive instead of six on large arrays. All results are
-deterministic functions of the scenario, including the seeded random pieces.
+A comparison runs the six VARIANTS on one path, each row one build_beam and
+one sweep_trajectory. The calls share what the variants have in common: the
+trajectory is sampled once, the path phasors every sweep contracts with are
+built once, and covrage and no_sync synthesize from one plan geometry, with
+no_sync's seeded shifts in place of the sync. iter_strategies yields the rows
+one at a time, which keeps one variant's weights alive instead of six on
+large arrays. All results are deterministic functions of the scenario,
+including the seeded random pieces.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -41,7 +41,6 @@ from .array_model import (
     Awv,
     beamwidth_uv,
     coefficient_grid,
-    coefficient_points,
     partition_interleaved,
     path_coefficients,
     path_phasors,
@@ -65,9 +64,12 @@ from .link_budget import (
     path_loss,
     select_mcs_levels,
 )
-from .planner import BeamPlan, covrage_plan, plan_geometry, plan_trajectory, synthesize_plan
+from .planner import BeamPlan, PlanGeometry, plan_geometry, plan_trajectory, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
+
+# A comparison's rows, in order: each strategy, then each covrage ablation.
+VARIANTS = (*((strategy, "") for strategy in STRATEGIES), ("covrage", "no_sync"), ("covrage", "delayed_first"))
 
 # Clamp used by external plotting of gain maps; recorded in CLI output metadata.
 DISPLAY_CLAMP_DBI = 30.0
@@ -146,26 +148,25 @@ def _quantized(awv: Awv, phase_bits: int | None) -> Awv:
     return awv if phase_bits is None else quantize_phases(awv, phase_bits)
 
 
-def build_beam(sc: Scenario) -> BeamBuild:
-    """Construct the weight vector a scenario's strategy calls for."""
+def build_beam(
+    sc: Scenario, trajectory: Trajectory | None = None, geometry: PlanGeometry | None = None
+) -> BeamBuild:
+    """Construct the weight vector a scenario's strategy calls for.
+
+    ``trajectory``, when given, is the path plan_trajectory samples for the
+    scenario; ``geometry``, when given, is plan_geometry's cover of it
+    without delayed_first. A covrage scenario without delayed_first then
+    synthesizes from that geometry instead of planning its own.
+    """
+    traj = trajectory if trajectory is not None else plan_trajectory(
+        sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array, sc.interleave, sc.n_samples
+    )
     plan = None
     if sc.strategy == "covrage":
-        awv, plan = covrage_plan(
-            sc.orientation_start,
-            sc.orientation_end,
-            sc.ap_direction,
-            sc.array,
-            interleave=sc.interleave,
-            n_samples=sc.n_samples,
-            delayed_first=sc.delayed_first,
-            sync_override=_seeded_shifts(sc.seed) if sc.no_sync else None,
-        )
-        traj = plan.trajectory
+        if geometry is None or sc.delayed_first:
+            geometry = plan_geometry(traj, sc.array, interleave=sc.interleave, delayed_first=sc.delayed_first)
+        awv, plan = synthesize_plan(geometry, _seeded_shifts(sc.seed) if sc.no_sync else None)
     else:
-        traj = plan_trajectory(
-            sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array,
-            sc.interleave, sc.n_samples,
-        )
         awv = _baseline_weights(sc.strategy, sc.array, traj)
     return BeamBuild(sc, _quantized(awv, sc.phase_bits), plan, traj)
 
@@ -248,23 +249,16 @@ def sweep_trajectory(
     link: LinkParams,
     spacing_wl: float,
     mcs_table: tuple[McsEntry, ...] | None = None,
+    phasors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SweepResult:
-    """Receive gain, received power, and rate along a path; the peak on first read."""
-    coeff = coefficient_points(awv, trajectory.u_array(), trajectory.v_array(), spacing_wl)
-    return _sweep_result(coeff, awv, trajectory, link, spacing_wl, mcs_table)
+    """Receive gain, received power, and rate along a path; the peak on first read.
 
-
-def _sweep_result(
-    coeff: np.ndarray,
-    awv: Awv,
-    trajectory: Trajectory,
-    link: LinkParams,
-    spacing_wl: float,
-    mcs_table: tuple[McsEntry, ...] | None,
-) -> SweepResult:
-    """A sweep from the weights' receive coefficients at the trajectory's samples."""
-    table = mcs_table if mcs_table is not None else default_mcs_table()
-    power = np.abs(coeff) ** 2
+    ``phasors``, when given, is path_phasors for the weights' shape on this
+    trajectory at this pitch, shared by every sweep of that path.
+    """
+    if phasors is None:
+        phasors = path_phasors(awv.shape, trajectory.u_array(), trajectory.v_array(), spacing_wl)
+    power = np.abs(path_coefficients(awv, phasors)) ** 2
     gains = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
     loss = path_loss(link.distance_m, link)
     rx = link.eirp_dbm - loss + gains
@@ -272,7 +266,7 @@ def _sweep_result(
         trajectory=trajectory,
         gain_dbi=gains,
         rx_power_dbm=rx,
-        mcs=select_mcs_levels(rx, table),
+        mcs=select_mcs_levels(rx, mcs_table if mcs_table is not None else default_mcs_table()),
         awv=awv,
         spacing_wl=spacing_wl,
     )
@@ -410,32 +404,32 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
     """Every strategy plus both ablations on one scenario, one row at a time.
 
     The scenario's own strategy and ablation flags are ignored. The variants
-    share one sampled trajectory and one pair of path phasors, and no_sync
-    reuses the covrage plan's geometry. Each row holds its variant's weight
-    vector, so a caller that drops a row before taking the next keeps one
-    large array's weights alive, not six; each variant's weights go straight
-    into row(), so no local of this generator holds them between rows.
+    share one sampled trajectory, one pair of path phasors and, but for
+    delayed_first, one plan geometry, which is dropped before delayed_first
+    plans its own. Each row holds its variant's weight vector, so a caller
+    that drops a row before taking the next keeps one large array's weights
+    alive, not six; each row is built inside _variant_row, so no local of
+    this generator holds a variant's weights between rows.
     """
     cfg = sc.array
     traj = plan_trajectory(
         sc.orientation_start, sc.orientation_end, sc.ap_direction, cfg, sc.interleave, sc.n_samples
     )
     phasors = path_phasors((cfg.nx, cfg.ny), traj.u_array(), traj.v_array(), cfg.spacing_wavelengths)
-
-    def row(strategy: str, ablation: str, awv: Awv, plan: BeamPlan | None = None) -> CompareRow:
-        awv = _quantized(awv, sc.phase_bits)
-        coeff = path_coefficients(awv, phasors)
-        result = _sweep_result(coeff, awv, traj, sc.link, cfg.spacing_wavelengths, sc.mcs_table)
-        return CompareRow(strategy, ablation, plan.n_beams if plan is not None else 1, result)
-
     geometry = plan_geometry(traj, cfg, interleave=sc.interleave)
-    yield row("covrage", "", *synthesize_plan(geometry))
-    for strategy in STRATEGIES[1:]:
-        yield row(strategy, "", _baseline_weights(strategy, cfg, traj))
-    yield row("covrage", "no_sync", *synthesize_plan(geometry, _seeded_shifts(sc.seed)))
-    del geometry
-    delayed = plan_geometry(traj, cfg, interleave=sc.interleave, delayed_first=True)
-    yield row("covrage", "delayed_first", *synthesize_plan(delayed))
+    for strategy, ablation in VARIANTS:
+        if ablation == "delayed_first":
+            geometry = None
+        yield _variant_row(sc, strategy, ablation, traj, geometry, phasors)
+
+
+def _variant_row(
+    sc: Scenario, strategy: str, ablation: str, traj: Trajectory, geometry: PlanGeometry | None, phasors
+) -> CompareRow:
+    sc = replace(sc, strategy=strategy, no_sync=ablation == "no_sync", delayed_first=ablation == "delayed_first")
+    built = build_beam(sc, traj, geometry)
+    result = sweep_trajectory(built.awv, traj, sc.link, sc.array.spacing_wavelengths, sc.mcs_table, phasors)
+    return CompareRow(strategy, ablation, built.plan.n_beams if built.plan is not None else 1, result)
 
 
 def compare_strategies(sc: Scenario) -> list[CompareRow]:

@@ -168,13 +168,7 @@ def select_mcs(level_db: float, table: tuple[McsEntry, ...]) -> McsEntry:
     The level and the table sensitivities must share a scale (received dBm
     against receiver sensitivities, or any consistent margin convention).
     """
-    if not table:
-        raise ConfigError("empty rate table")
-    best = None
-    for entry in table:
-        if entry.sensitivity_dbm <= level_db:
-            best = entry
-    return best if best is not None else LINK_LOST
+    return select_mcs_levels([level_db], table)[0]
 
 
 def select_mcs_levels(levels, table: tuple[McsEntry, ...]) -> tuple[McsEntry, ...]:
@@ -183,7 +177,7 @@ def select_mcs_levels(levels, table: tuple[McsEntry, ...]) -> tuple[McsEntry, ..
     With sensitivities increasing strictly, the number of entries a level
     meets is its right insertion point among them. A NaN meets none:
     searchsorted would place it past the top entry, so it is mapped to
-    LINK_LOST as the per-level rule does.
+    LINK_LOST.
     """
     if not table:
         raise ConfigError("empty rate table")

@@ -27,6 +27,7 @@ from covrage.geometry import Quaternion, UvPoint, sample_trajectory, trajectory_
 from covrage.harness import (
     DISPLAY_CLAMP_DBI,
     STRATEGIES,
+    VARIANTS,
     Scenario,
     build_beam,
     compare_strategies,
@@ -37,7 +38,7 @@ from covrage.harness import (
     sweep_trajectory,
 )
 from covrage.link_budget import LinkParams
-from covrage.planner import covrage_plan
+from covrage.planner import covrage_plan, plan_geometry, plan_trajectory
 
 W16 = beamwidth_uv(16, 0.5)
 
@@ -465,19 +466,48 @@ def test_iter_strategies_yields_the_compare_rows():
         np.testing.assert_array_equal(a.result.rx_power_dbm, b.result.rx_power_dbm)
 
 
-COMPARE_VARIANTS = (
-    ("covrage", ""),
-    ("baseline-start", ""),
-    ("baseline-edge", ""),
-    ("baseline-mid", ""),
-    ("covrage", "no_sync"),
-    ("covrage", "delayed_first"),
+def seeded_override(seed: int):
+    rng = np.random.default_rng(seed)
+    return lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+@pytest.mark.parametrize("phase_bits", [None, 2])
+@pytest.mark.parametrize(
+    "no_sync,delayed_first", [(False, False), (True, False), (False, True), (True, True)],
+    ids=["plain", "no_sync", "delayed_first", "both"],
 )
+def test_build_beam_equals_covrage_plan(no_sync, delayed_first, phase_bits):
+    # build_beam composes the planner's steps itself; covrage_plan is the
+    # same pipeline behind one call, and the two must give the same bits.
+    # Handed the path and the plain geometry, as a comparison does, build_beam
+    # reuses that geometry unless delayed_first needs its own.
+    sc = dataclasses.replace(
+        reference_scenario("b"), no_sync=no_sync, delayed_first=delayed_first, phase_bits=phase_bits, seed=29
+    )
+    built = build_beam(sc)
+    traj = plan_trajectory(sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array, n_samples=256)
+    shared = build_beam(sc, traj, plan_geometry(traj, sc.array))
+    assert np.array_equal(shared.awv.weights, built.awv.weights)
+    assert shared.plan.beam_centers == built.plan.beam_centers
+    awv, plan = covrage_plan(
+        sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array,
+        interleave=sc.interleave, n_samples=sc.n_samples, delayed_first=delayed_first,
+        sync_override=seeded_override(sc.seed) if no_sync else None,
+    )
+    if phase_bits is not None:
+        awv = quantize_phases(awv, phase_bits)
+    assert np.array_equal(built.awv.weights, awv.weights)
+    got = built.plan
+    assert np.array_equal(got.trajectory.uv, plan.trajectory.uv)
+    assert np.array_equal(built.trajectory.uv, plan.trajectory.uv)
+    assert dataclasses.astuple(got.layout) == dataclasses.astuple(plan.layout)
+    for field in ("beam_centers", "overlap_points", "sync_shifts", "assignment", "extrapolated", "sync_skipped"):
+        assert getattr(got, field) == getattr(plan, field), field
 
 
 def oracle_rows(sc: Scenario):
     """Each variant on its own: build_beam plus sweep_trajectory, nothing shared."""
-    for strategy, ablation in COMPARE_VARIANTS:
+    for strategy, ablation in VARIANTS:
         variant = dataclasses.replace(
             sc, strategy=strategy, no_sync=ablation == "no_sync", delayed_first=ablation == "delayed_first"
         )

@@ -162,6 +162,15 @@ CUSTOM_TABLE = (
 )
 
 
+def reference_select_mcs(level_db: float, table) -> McsEntry:
+    """The rate rule as a scalar loop: the last entry whose sensitivity the level meets."""
+    best = None
+    for entry in table:
+        if entry.sensitivity_dbm <= level_db:
+            best = entry
+    return best if best is not None else LINK_LOST
+
+
 @pytest.mark.parametrize("table", [default_mcs_table(), CUSTOM_TABLE], ids=["packaged", "custom"])
 def test_select_mcs_levels_equals_per_level_rule(table):
     sens = np.array([e.sensitivity_dbm for e in table])
@@ -174,6 +183,7 @@ def test_select_mcs_levels_equals_per_level_rule(table):
         [np.nan, -np.nan],  # no comparison holds: LINK_LOST, not the top entry
     ])
     got = select_mcs_levels(levels, table)
+    assert got == tuple(reference_select_mcs(float(level), table) for level in levels)
     assert got == tuple(select_mcs(float(level), table) for level in levels)
     assert got[-2] is LINK_LOST and got[-1] is LINK_LOST
     n = len(table)
