@@ -4,15 +4,8 @@ Quaternions are scalar-first ``[w, x, y, z]`` unit rotations acting on vectors a
 ``v' = q v q*``. ``hamilton_product(a, b)`` composes so that ``b`` acts first:
 rotating by ``a * b`` equals rotating by ``b`` and then by ``a``.
 
-Euler angles follow the yaw/pitch/roll reading used throughout this package.
-A quaternion factors as ``qz(psi) * qy(theta) * qx(phi)`` and is recovered by
-
-    phi   = atan2(2(wx + yz), 1 - 2(x^2 + y^2))
-    theta = asin(2(wy - xz))
-    psi   = atan2(2(wz + xy), 1 - 2(y^2 + z^2))
-
-which is the closed form whose round trips are exact; the sign inside the arcsine
-is forced by the two atan2 rows (the round-trip tests pin the whole convention).
+Euler angles follow the yaw/pitch/roll reading used throughout this package:
+a quaternion factors as ``qz(psi) * qy(theta) * qx(phi)``.
 
 Directions drop the roll. The unit vector for ``(phi, theta)`` is
 ``(-sin(theta), cos(theta) sin(phi), cos(theta) cos(phi))`` with the front
@@ -30,7 +23,7 @@ shared state to guard when calling it from several threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +31,6 @@ from .errors import HemisphereError, InvalidUvError
 
 _UNIT_TOL = 1e-9
 _ZERO_TOL = 1e-12
-
-
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    elif a > math.pi:
-        a -= 2.0 * math.pi
-    return a
 
 
 @dataclass(frozen=True)
@@ -99,17 +82,11 @@ class Quaternion:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """Yaw ``phi``, pitch ``theta`` and roll ``psi`` in radians.
-
-    ``gimbal_lock`` flags that the source quaternion sat at |pitch| = pi/2 where
-    yaw and roll degenerate; by convention the roll is then folded into ``phi``
-    and ``psi`` reported as zero.
-    """
+    """Yaw ``phi``, pitch ``theta`` and roll ``psi`` in radians."""
 
     phi: float
     theta: float
     psi: float = 0.0
-    gimbal_lock: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -184,26 +161,8 @@ def _axis_angle(q: Quaternion) -> tuple[np.ndarray, float]:
     return np.array([qc.x, qc.y, qc.z]) / s, angle
 
 
-def quat_to_euler(q: Quaternion) -> EulerAngles:
-    """Decompose a quaternion into yaw/pitch/roll (see module docstring).
-
-    The arcsine argument is clamped; at |pitch| = pi/2 the result carries
-    ``gimbal_lock=True`` with the degenerate roll folded into ``phi``.
-    """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    st = 2.0 * (w * y - x * z)
-    if abs(st) >= 1.0 - _UNIT_TOL:
-        theta = math.copysign(math.pi / 2.0, st)
-        phi = _wrap_angle(2.0 * math.atan2(x, w))
-        return EulerAngles(phi, theta, 0.0, gimbal_lock=True)
-    theta = math.asin(st)
-    phi = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-    psi = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return EulerAngles(phi, theta, psi)
-
-
 def euler_to_quat(e: EulerAngles) -> Quaternion:
-    """Inverse of :func:`quat_to_euler`: build qz(psi) * qy(theta) * qx(phi)."""
+    """Build qz(psi) * qy(theta) * qx(phi) from yaw/pitch/roll."""
     c1, s1 = math.cos(e.phi / 2.0), math.sin(e.phi / 2.0)
     c2, s2 = math.cos(e.theta / 2.0), math.sin(e.theta / 2.0)
     c3, s3 = math.cos(e.psi / 2.0), math.sin(e.psi / 2.0)

@@ -180,6 +180,17 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
         if dx * dx + dy * dy >= half_width * half_width:
             raise ValueError(f"sample spacing at index {k} is not below the coverage half-width")
 
+    def extended(j: int) -> Sequence[float] | None:
+        """Sample j >= n of the path extended by its final step; None where the extension stops."""
+        k = j - n + 1
+        step_x = pts[-1][0] - pts[-2][0]
+        step_y = pts[-1][1] - pts[-2][1]
+        if k > EXTRAPOLATION_CAP_FACTOR * n or step_x * step_x + step_y * step_y <= 1e-30:
+            return None
+        x = pts[-1][0] + k * step_x
+        y = pts[-1][1] + k * step_y
+        return (x, y) if x * x + y * y <= 1.0 + COVERAGE_SLACK else None
+
     start = 0
     if delayed_first:
         for j in range(n - 1, -1, -1):
@@ -189,14 +200,6 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
     centers = [pts[start]]
     overlaps: list[Sequence[float]] = []
     extrapolated = False
-
-    if n >= 2:
-        step_x = pts[-1][0] - pts[-2][0]
-        step_y = pts[-1][1] - pts[-2][1]
-    else:
-        step_x = step_y = 0.0
-    has_step = step_x * step_x + step_y * step_y > 1e-30
-    max_extension = EXTRAPOLATION_CAP_FACTOR * n
 
     anchor = pts[0]
     i = 1
@@ -213,41 +216,22 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
             # The anchor went stale behind an older beam; the immediate
             # predecessor is always covered and always within spacing of p.
             anchor = pts[i - 1]
-        pending: list[Sequence[float]] = []
-        lock: Sequence[float] | None = None
-        lock_is_extension = False
-        consumed = i
-        j = i
+        pending = [p]
+        lock = p
+        j = i + 1
         while True:
-            if j < n:
-                cand = pts[j]
-                is_extension = False
-            else:
-                k = j - n
-                if not has_step or k >= max_extension:
-                    break
-                cand = (pts[-1][0] + (k + 1) * step_x, pts[-1][1] + (k + 1) * step_y)
-                if cand[0] * cand[0] + cand[1] * cand[1] > 1.0 + COVERAGE_SLACK:
-                    break
-                is_extension = True
-            if not near(cand, anchor):
-                break
-            if not all(near(cand, q) for q in pending):
+            cand = pts[j] if j < n else extended(j)
+            if cand is None or not near(cand, anchor) or not all(near(cand, q) for q in pending):
                 break
             lock = cand
-            lock_is_extension = is_extension
-            if not is_extension:
-                if not any(near(cand, c) for c in centers):
-                    pending.append(cand)
-                consumed = j + 1
+            if j < n and not any(near(cand, c) for c in centers):
+                pending.append(cand)
             j += 1
-        assert lock is not None  # the first candidate always satisfies both checks
         centers.append(lock)
         overlaps.append(anchor)
-        if lock_is_extension:
-            extrapolated = True
+        extrapolated = j > n
         anchor = lock
-        i = consumed
+        i = min(j, n)
     return CoverResult(
         tuple(UvPoint(c[0], c[1]) for c in centers),
         tuple(UvPoint(o[0], o[1]) for o in overlaps),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from covrage.geometry import (
     euler_to_quat,
     euler_to_uv,
     hamilton_product,
-    quat_to_euler,
     sample_trajectory,
     trajectory_length,
     uv_to_direction,
@@ -50,6 +50,52 @@ def euler_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
     ry = np.array([[ct, 0, stt], [0, 1, 0], [-stt, 0, ct]])
     rz = np.array([[cp, -sp, 0], [sp, cp, 0], [0, 0, 1]])
     return rz @ ry @ rx
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap to (-pi, pi]."""
+    a = math.fmod(a, 2.0 * math.pi)
+    if a <= -math.pi:
+        a += 2.0 * math.pi
+    elif a > math.pi:
+        a -= 2.0 * math.pi
+    return a
+
+
+class RecoveredAngles(NamedTuple):
+    """Yaw, pitch and roll read back from a quaternion.
+
+    ``gimbal_lock`` flags that the quaternion sat at |pitch| = pi/2 where yaw
+    and roll degenerate; the roll is then folded into ``phi`` and ``psi`` is zero.
+    """
+
+    phi: float
+    theta: float
+    psi: float
+    gimbal_lock: bool = False
+
+
+def quat_to_euler(q: Quaternion) -> RecoveredAngles:
+    """The round-trip oracle of euler_to_quat: undo qz(psi) * qy(theta) * qx(phi) with
+
+        phi   = atan2(2(wx + yz), 1 - 2(x^2 + y^2))
+        theta = asin(2(wy - xz))
+        psi   = atan2(2(wz + xy), 1 - 2(y^2 + z^2))
+
+    which is the closed form whose round trips are exact; the sign inside the
+    arcsine is forced by the two atan2 rows. Near |pitch| = pi/2 the gimbal-lock
+    branch stands in for the arcsine.
+    """
+    w, x, y, z = q.w, q.x, q.y, q.z
+    sin_theta = 2.0 * (w * y - x * z)
+    if abs(sin_theta) >= 1.0 - 1e-9:
+        theta = math.copysign(math.pi / 2.0, sin_theta)
+        phi = wrap_angle(2.0 * math.atan2(x, w))
+        return RecoveredAngles(phi, theta, 0.0, gimbal_lock=True)
+    theta = math.asin(sin_theta)
+    phi = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    psi = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return RecoveredAngles(phi, theta, psi)
 
 
 def axis_angle_of(q: Quaternion) -> tuple[np.ndarray, float]:

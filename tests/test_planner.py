@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from covrage.array_model import (
 )
 from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory
 from covrage.planner import (
+    COVERAGE_SLACK,
+    EXTRAPOLATION_CAP_FACTOR,
     BeamPlan,
+    CoverResult,
     allocate_sub_arrays,
     cover_points,
     covrage_plan,
@@ -251,6 +255,156 @@ def test_cover_random_arcs_every_sample_covered(seed):
     for k, o in enumerate(res.overlaps):
         for c in (res.centers[k], res.centers[k + 1]):
             assert math.hypot(o.u - c.u, o.v - c.v) <= half + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the walk as it stood before it became one candidate loop over the
+# extended path, kept verbatim. Every input must give the same CoverResult or
+# the same ValueError message.
+
+
+def reference_cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bool = False) -> CoverResult:
+    pts = trajectory.uv.tolist()
+    n = len(pts)
+    if half_width <= 0.0:
+        raise ValueError("half_width must be positive")
+    # No two points of the unit disc are more than 2 apart, so a wider radius
+    # covers the same points; the cap keeps the square finite.
+    h2 = (min(half_width, 2.0) + COVERAGE_SLACK) ** 2
+
+    def near(a: Sequence[float], b: Sequence[float]) -> bool:
+        dx = a[0] - b[0]
+        dy = a[1] - b[1]
+        return dx * dx + dy * dy <= h2
+
+    for k in range(1, n):
+        dx = pts[k][0] - pts[k - 1][0]
+        dy = pts[k][1] - pts[k - 1][1]
+        if dx * dx + dy * dy >= half_width * half_width:
+            raise ValueError(f"sample spacing at index {k} is not below the coverage half-width")
+
+    start = 0
+    if delayed_first:
+        for j in range(n - 1, -1, -1):
+            if near(pts[j], pts[0]):
+                start = j
+                break
+    centers = [pts[start]]
+    overlaps: list[Sequence[float]] = []
+    extrapolated = False
+
+    if n >= 2:
+        step_x = pts[-1][0] - pts[-2][0]
+        step_y = pts[-1][1] - pts[-2][1]
+    else:
+        step_x = step_y = 0.0
+    has_step = step_x * step_x + step_y * step_y > 1e-30
+    max_extension = EXTRAPOLATION_CAP_FACTOR * n
+
+    anchor = pts[0]
+    i = 1
+    while i < n:
+        p = pts[i]
+        if near(p, centers[-1]):
+            anchor = p
+            i += 1
+            continue
+        if any(near(p, c) for c in centers[:-1]):
+            i += 1
+            continue
+        if not near(p, anchor):
+            # The anchor went stale behind an older beam; the immediate
+            # predecessor is always covered and always within spacing of p.
+            anchor = pts[i - 1]
+        pending: list[Sequence[float]] = []
+        lock: Sequence[float] | None = None
+        lock_is_extension = False
+        consumed = i
+        j = i
+        while True:
+            if j < n:
+                cand = pts[j]
+                is_extension = False
+            else:
+                k = j - n
+                if not has_step or k >= max_extension:
+                    break
+                cand = (pts[-1][0] + (k + 1) * step_x, pts[-1][1] + (k + 1) * step_y)
+                if cand[0] * cand[0] + cand[1] * cand[1] > 1.0 + COVERAGE_SLACK:
+                    break
+                is_extension = True
+            if not near(cand, anchor):
+                break
+            if not all(near(cand, q) for q in pending):
+                break
+            lock = cand
+            lock_is_extension = is_extension
+            if not is_extension:
+                if not any(near(cand, c) for c in centers):
+                    pending.append(cand)
+                consumed = j + 1
+            j += 1
+        assert lock is not None  # the first candidate always satisfies both checks
+        centers.append(lock)
+        overlaps.append(anchor)
+        if lock_is_extension:
+            extrapolated = True
+        anchor = lock
+        i = consumed
+    return CoverResult(
+        tuple(UvPoint(c[0], c[1]) for c in centers),
+        tuple(UvPoint(o[0], o[1]) for o in overlaps),
+        extrapolated,
+    )
+
+
+@st.composite
+def cover_inputs(draw):
+    """A curved or looping walk, grown backwards from a chosen final sample and step.
+
+    The tail kind fixes the final step: a free turn, one pointing straight out
+    at the unit disc, a tiny one that runs the extension into its cap, or a zero
+    one. A walk turns back at the rim and stops early if it still leaves the disc.
+    """
+    half = draw(st.one_of(st.floats(0.002, 0.3), st.floats(0.3, 2.5)))
+    n = 61 - draw(st.integers(1, 60))  # counted down: the simplest draw is the longest walk
+    tail = draw(st.sampled_from(["free", "outward", "tiny", "zero"]))
+    # An outward tail ends within a half-width of the rim, so the disc can stop it.
+    r_end = 1.0 - draw(st.floats(1e-4, 1.0)) * (min(half, 1.0) if tail == "outward" else 1.0)
+    phi_end = draw(st.floats(0.0, 2.0 * math.pi))
+    heading = phi_end if tail == "outward" else draw(st.floats(0.0, 2.0 * math.pi))
+    step = draw(st.floats(0.02, 1.02)) * min(half, 0.5)
+    turn = draw(st.one_of(st.floats(-0.1, 0.1), st.floats(-1.5, 1.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    last = {"free": 1.0, "outward": 1.0, "tiny": draw(st.floats(1e-6, 1e-3)), "zero": 0.0}[tail]
+    x, y = r_end * math.cos(phi_end), r_end * math.sin(phi_end)
+    rows = [(x, y)]
+    s = step * last
+    for _ in range(n - 1):
+        dx, dy = s * math.cos(heading), s * math.sin(heading)
+        if (x - dx) ** 2 + (y - dy) ** 2 > 1.0:
+            heading += math.pi  # turn back from the rim
+            dx, dy = -dx, -dy
+        x, y = x - dx, y - dy
+        if x * x + y * y > 1.0:
+            break
+        rows.append((x, y))
+        heading -= turn + rng.normal(0.0, 0.1)
+        s = step * rng.uniform(0.5, 1.0)
+    return Trajectory(rows[::-1]), half, draw(st.booleans())
+
+
+def cover_outcome(cover, trajectory, half_width, delayed_first):
+    try:
+        return cover(trajectory, half_width, delayed_first=delayed_first)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000)
+@given(cover_inputs())
+def test_cover_matches_reference_walk(inputs):
+    assert cover_outcome(cover_points, *inputs) == cover_outcome(reference_cover_points, *inputs)
 
 
 # ---------------------------------------------------------------------------
