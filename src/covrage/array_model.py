@@ -7,6 +7,15 @@ element (0, 0). Conjugating that offset element-for-element steers the array;
 summing weight times offset over the aperture gives the receive coefficient,
 and ``10 log10 |C|^2`` the gain in dBi.
 
+The offset is written in two forms. At one point it is the conjugate of the
+steering weights toward that point, so ``array_coefficient`` sums weights times
+``conj(steering_weights)``. On many points it separates into per-axis phasors,
+``exp(-2j pi d x u)`` and likewise in y, which ``path_phasors`` and
+``coefficient_grid`` contract with the weights. Where bits must not move, an
+operand of numpy's vectorised complex multiply is bound to a name: an unnamed
+temporary is multiplied in place, which rounds differently, as can swapped
+operands.
+
 Sub-array layouts assign every physical element to exactly one group and give it
 local coordinates inside that group. Interleaving takes every sqrt(M)-th element,
 which multiplies the effective pitch by sqrt(M) while keeping the full aperture,
@@ -27,10 +36,6 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import UvPoint
 
-# Floor under sweep and gain-map gains: far below anything a plot would show,
-# but finite so downstream arithmetic stays total.
-GAIN_FLOOR_DBI = -40.0
-
 # Half-power width of a uniform aperture, as a fraction of wavelength/aperture.
 HALF_POWER_CONSTANT = 0.886
 
@@ -40,6 +45,15 @@ MAX_PHASE_BITS = 52
 
 # Points per axis of the peak search's coarse sine-space grid.
 PEAK_GRID = 512
+
+# Floor under sweep and gain-map gains: far below anything a plot would show,
+# but finite so downstream arithmetic stays total.
+GAIN_FLOOR_DBI = -40.0
+
+
+def floored_gain_dbi(power: np.ndarray) -> np.ndarray:
+    """``10 log10`` of each receive power, floored at ``GAIN_FLOOR_DBI`` (a zero power too)."""
+    return np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
 
 
 @dataclass(frozen=True)
@@ -217,12 +231,9 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoi
 
 def array_coefficient(awv: Awv, p: UvPoint, spacing_wl: float) -> complex:
     """Receive coefficient at ``p``: sum of weight times plane-wave offset over elements."""
-    nx, ny = awv.shape
-    arg = 2.0 * np.pi * spacing_wl * (
-        np.arange(nx)[:, None] * p.u + np.arange(ny)[None, :] * p.v
-    )
-    delta = np.cos(arg) - 1j * np.sin(arg)
-    return complex((awv.weights * delta).sum())
+    # Named: numpy multiplies into an unnamed temporary in place, which rounds differently.
+    offset = np.conj(steering_weights(awv.shape, spacing_wl, p).weights)
+    return complex((awv.weights * offset).sum())
 
 
 def beamwidth_uv(n_side: int, spacing_wl: float) -> float:
@@ -286,6 +297,13 @@ def quantize_phases(awv: Awv, bits: int) -> Awv:
     return Awv._trusted(np.exp(1j * step * np.round(np.angle(awv.weights) / step)))
 
 
+def _axis_phasors(n: int, c, spacing_wl: float) -> np.ndarray:
+    """One axis of the plane-wave offset: ``exp(-2j pi d a c[k])`` indexed [a, k], read-only."""
+    e = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(n), c))
+    e.setflags(write=False)
+    return e
+
+
 def path_phasors(shape: tuple[int, int], u, v, spacing_wl: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis plane-wave offsets along paired directions (u[k], v[k]).
 
@@ -298,11 +316,7 @@ def path_phasors(shape: tuple[int, int], u, v, spacing_wl: float) -> tuple[np.nd
     if u.shape != v.shape:
         raise ValueError("u and v must pair up")
     nx, ny = shape
-    eu = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(nx), u))
-    ev = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(ny), v))
-    eu.setflags(write=False)
-    ev.setflags(write=False)
-    return eu, ev
+    return _axis_phasors(nx, u, spacing_wl), _axis_phasors(ny, v, spacing_wl)
 
 
 def path_coefficients(awv: Awv, phasors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -323,32 +337,24 @@ def coefficient_grid(awv: Awv, u: np.ndarray, v: np.ndarray, spacing_wl: float) 
     products rather than a sum per cell.
     """
     nx, ny = awv.shape
-    eu = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(nx), np.asarray(u)))
-    ev = np.exp(-2j * np.pi * spacing_wl * np.outer(np.arange(ny), np.asarray(v)))
-    return eu.T @ (awv.weights @ ev)
+    return _axis_phasors(nx, u, spacing_wl).T @ (awv.weights @ _axis_phasors(ny, v, spacing_wl))
 
 
 def peak_gain(awv: Awv, spacing_wl: float) -> tuple[float, UvPoint]:
     """Maximum gain over the front hemisphere and where it occurs.
 
-    Coarse scan on a ``PEAK_GRID``-squared UV grid masked to the unit disc,
-    then a few shrinking local grid refinements around the best cell.
+    A ``PEAK_GRID``-squared scan of the disc, then three 17-squared grids of
+    shrinking half-width around the best point so far.
     """
-    axis = np.linspace(-1.0, 1.0, PEAK_GRID)
-    power = np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2
-    power[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = 0.0
-    iu, iv = np.unravel_index(int(np.argmax(power)), power.shape)
-    best_u, best_v = float(axis[iu]), float(axis[iv])
-    best_p = float(power[iu, iv])
-    box = 2.0 / (PEAK_GRID - 1)
-    for _ in range(3):
-        gu = np.clip(np.linspace(best_u - box, best_u + box, 17), -1.0, 1.0)
-        gv = np.clip(np.linspace(best_v - box, best_v + box, 17), -1.0, 1.0)
-        local = np.abs(coefficient_grid(awv, gu, gv, spacing_wl)) ** 2
-        local[gu[:, None] ** 2 + gv[None, :] ** 2 > 1.0] = 0.0
-        ju, jv = np.unravel_index(int(np.argmax(local)), local.shape)
-        if local[ju, jv] > best_p:
-            best_p = float(local[ju, jv])
-            best_u, best_v = float(gu[ju]), float(gv[jv])
-        box /= 8.0
+    cell = 2.0 / (PEAK_GRID - 1)
+    best_p, best_u, best_v = -1.0, 0.0, 0.0
+    for n, half in ((PEAK_GRID, 1.0), (17, cell), (17, cell / 8), (17, cell / 64)):
+        gu = np.clip(np.linspace(best_u - half, best_u + half, n), -1.0, 1.0)
+        gv = np.clip(np.linspace(best_v - half, best_v + half, n), -1.0, 1.0)
+        power = np.abs(coefficient_grid(awv, gu, gv, spacing_wl)) ** 2
+        power[gu[:, None] ** 2 + gv[None, :] ** 2 > 1.0] = 0.0
+        iu, iv = np.unravel_index(int(np.argmax(power)), power.shape)
+        if power[iu, iv] > best_p:
+            best_p = float(power[iu, iv])
+            best_u, best_v = float(gu[iu]), float(gv[iv])
     return 10.0 * math.log10(best_p), UvPoint(best_u, best_v)

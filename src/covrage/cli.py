@@ -218,6 +218,12 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
     values = _scalars(doc, Scenario)
     array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
     link = _scalars(doc.get("link", {}), LinkParams, "link.")
+    # The carrier sets the loss only through the free-space anchor. The default
+    # carrier passes, as the manifest echoes it beside a numeric loss.
+    if link.get("frequency_hz", LinkParams.frequency_hz) != LinkParams.frequency_hz and (
+        link.get("reference_loss_db", LinkParams.reference_loss_db) is not None
+    ):
+        raise ConfigError("link.frequency_hz is read only when link.reference_loss_db is null")
     for name in ("orientation_start", "orientation_end", "ap_direction"):
         value = _direction(doc, name)
         if value is not None:

@@ -35,12 +35,12 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .array_model import (
-    GAIN_FLOOR_DBI,
     MAX_PHASE_BITS,
     ArrayConfig,
     Awv,
     beamwidth_uv,
     coefficient_grid,
+    floored_gain_dbi,
     partition_interleaved,
     path_coefficients,
     path_phasors,
@@ -64,7 +64,7 @@ from .link_budget import (
     path_loss,
     select_mcs_levels,
 )
-from .planner import BeamPlan, PlanGeometry, plan_geometry, plan_trajectory, synthesize_plan
+from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, PlanGeometry, plan_geometry, plan_trajectory, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
@@ -101,8 +101,8 @@ class Scenario:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if (self.no_sync or self.delayed_first) and self.strategy != "covrage":
             raise ConfigError("ablations apply to the covrage strategy only")
-        if self.n_samples is not None and self.n_samples < 2:
-            raise ConfigError("n_samples must be at least 2")
+        if self.n_samples is not None and not 2 <= self.n_samples <= MAX_TRAJECTORY_SAMPLES:
+            raise ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
         if self.phase_bits is not None and not 1 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ConfigError(f"phase_bits must be between 1 and {MAX_PHASE_BITS}")
         partition_interleaved(self.array, self.interleave)  # rejects an interleave the array cannot take
@@ -258,8 +258,7 @@ def sweep_trajectory(
     """
     if phasors is None:
         phasors = path_phasors(awv.shape, trajectory.u_array(), trajectory.v_array(), spacing_wl)
-    power = np.abs(path_coefficients(awv, phasors)) ** 2
-    gains = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
+    gains = floored_gain_dbi(np.abs(path_coefficients(awv, phasors)) ** 2)
     loss = path_loss(link.distance_m, link)
     rx = link.eirp_dbm - loss + gains
     return SweepResult(
@@ -293,8 +292,7 @@ def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
     if resolution < 16:
         raise ConfigError("gain map resolution must be at least 16")
     axis = np.linspace(-1.0, 1.0, resolution)
-    power = np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2
-    gain = np.maximum(10.0 * np.log10(np.maximum(power, 1e-300)), GAIN_FLOOR_DBI)
+    gain = floored_gain_dbi(np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2)
     gain[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = np.nan
     return GainMap(axis=axis, gain_dbi=gain)
 

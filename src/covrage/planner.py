@@ -38,6 +38,7 @@ from .array_model import (
     partition_localized,
     steering_weights,
 )
+from .errors import ConfigError
 from .geometry import (
     Quaternion,
     Trajectory,
@@ -53,6 +54,10 @@ COVERAGE_SLACK = 1e-12
 # never fewer than 64 samples.
 MIN_TRAJECTORY_SAMPLES = 64
 SAMPLES_PER_BEAMWIDTH = 10
+
+# Most samples a path may take, fixed or automatic: 2**20 samples are 16 MiB of
+# (u, v) pairs, far above any plan a head turn needs (thousands at 1024x1024).
+MAX_TRAJECTORY_SAMPLES = 2**20
 
 # Tail extension is bounded by this multiple of the original sample count.
 EXTRAPOLATION_CAP_FACTOR = 4
@@ -284,7 +289,7 @@ def plan_trajectory(
     A fixed ``n_samples`` is taken as given. Otherwise a 64-sample probe
     estimates the path length and the quadrant-split depth; if a tenth of the
     resulting beam width needs finer spacing, the path is resampled at that
-    density.
+    density, which is a config error beyond ``MAX_TRAJECTORY_SAMPLES``.
     """
     if n_samples is not None:
         return sample_trajectory(q1, q2, ap_dir, n_samples)
@@ -292,10 +297,13 @@ def plan_trajectory(
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
     length = trajectory_length(probe)
     s = subdivision_level(length, width, interleave)
-    n = max(
-        MIN_TRAJECTORY_SAMPLES,
-        math.ceil(length / (width * 2.0**s / SAMPLES_PER_BEAMWIDTH)) + 1,
-    )
+    steps = length / (width * 2.0**s / SAMPLES_PER_BEAMWIDTH)
+    if steps > MAX_TRAJECTORY_SAMPLES - 1:
+        raise ConfigError(
+            f"the path needs more than {MAX_TRAJECTORY_SAMPLES} samples at a tenth of the beam width;"
+            " use a smaller array or array.spacing_wavelengths"
+        )
+    n = max(MIN_TRAJECTORY_SAMPLES, math.ceil(steps) + 1)
     if n == MIN_TRAJECTORY_SAMPLES:
         return probe
     return sample_trajectory(q1, q2, ap_dir, n)

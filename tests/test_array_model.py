@@ -12,6 +12,7 @@ from covrage.array_model import (
     ArrayConfig,
     Awv,
     GAIN_FLOOR_DBI,
+    PEAK_GRID,
     array_coefficient,
     beamwidth_angular,
     beamwidth_uv,
@@ -571,6 +572,99 @@ def test_peak_gain_finds_steered_maximum():
         g, at = peak_gain(awv, 0.5)
         assert g == pytest.approx(20.0 * math.log10(256.0), abs=0.01)
         assert math.hypot(at.u - p.u, at.v - p.v) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Byte rule: the shared plane-wave formula and the one peak-search loop must
+# give the bits the separate formulas gave. These references are those
+# formulas, word for word.
+
+
+def reference_array_coefficient(awv: Awv, p: UvPoint, spacing_wl: float) -> complex:
+    """Receive coefficient at ``p``: sum of weight times plane-wave offset over elements."""
+    nx, ny = awv.shape
+    arg = 2.0 * np.pi * spacing_wl * (
+        np.arange(nx)[:, None] * p.u + np.arange(ny)[None, :] * p.v
+    )
+    delta = np.cos(arg) - 1j * np.sin(arg)
+    return complex((awv.weights * delta).sum())
+
+
+def reference_peak_gain(awv: Awv, spacing_wl: float) -> tuple[float, UvPoint]:
+    """Maximum gain over the front hemisphere and where it occurs.
+
+    Coarse scan on a ``PEAK_GRID``-squared UV grid masked to the unit disc,
+    then a few shrinking local grid refinements around the best cell.
+    """
+    axis = np.linspace(-1.0, 1.0, PEAK_GRID)
+    power = np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2
+    power[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = 0.0
+    iu, iv = np.unravel_index(int(np.argmax(power)), power.shape)
+    best_u, best_v = float(axis[iu]), float(axis[iv])
+    best_p = float(power[iu, iv])
+    box = 2.0 / (PEAK_GRID - 1)
+    for _ in range(3):
+        gu = np.clip(np.linspace(best_u - box, best_u + box, 17), -1.0, 1.0)
+        gv = np.clip(np.linspace(best_v - box, best_v + box, 17), -1.0, 1.0)
+        local = np.abs(coefficient_grid(awv, gu, gv, spacing_wl)) ** 2
+        local[gu[:, None] ** 2 + gv[None, :] ** 2 > 1.0] = 0.0
+        ju, jv = np.unravel_index(int(np.argmax(local)), local.shape)
+        if local[ju, jv] > best_p:
+            best_p = float(local[ju, jv])
+            best_u, best_v = float(gu[ju]), float(gv[jv])
+        box /= 8.0
+    return 10.0 * math.log10(best_p), UvPoint(best_u, best_v)
+
+
+disc_points = st.builds(
+    lambda r, a: UvPoint(r * math.cos(a), r * math.sin(a)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+# Random phases from a seed, or the weights steered at a point of the disc.
+weight_kinds = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("steered"), disc_points),
+)
+
+
+def kind_weights(kind: tuple, nx: int, ny: int, spacing_wl: float) -> Awv:
+    name, arg = kind
+    if name == "random":
+        return random_awv(np.random.default_rng(arg), nx, ny)
+    return steering_weights((nx, ny), spacing_wl, arg)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 512), st.integers(1, 512), st.floats(0.05, 2.0), weight_kinds, disc_points)
+# From 128 x 128 (256 KiB) up, numpy multiplies an unnamed temporary in place.
+@example(128, 128, 0.25, ("random", 1), UvPoint(0.3, -0.2))
+@example(128, 200, 0.05, ("steered", UvPoint(0.1, 0.2)), UvPoint(0.1, 0.2))
+@example(512, 512, 0.5, ("steered", UvPoint(-0.7, 0.1)), UvPoint(-0.69, 0.1))
+@example(300, 129, 1.7, ("random", 2), UvPoint(0.0, 0.99))
+@example(1, 1, 2.0, ("random", 3), UvPoint(1.0, 0.0))
+def test_array_coefficient_bit_equal_reference(nx, ny, spacing, kind, p):
+    awv = kind_weights(kind, nx, ny, spacing)
+    got = np.array([array_coefficient(awv, p, spacing)])
+    want = np.array([reference_array_coefficient(awv, p, spacing)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 64), st.integers(1, 64), st.floats(0.05, 2.0), weight_kinds)
+# Peaks at the rim, where the refinement grids run past [-1, 1] and are clipped;
+# on the two pitches below the result depends on the clip.
+@example(16, 16, 0.5, ("steered", UvPoint(1.0, 0.0)))
+@example(32, 8, 0.25, ("steered", UvPoint(0.0, -1.0)))
+@example(8, 16, 0.49975230753780747, ("steered", UvPoint(0.0, 1.0)))
+@example(13, 13, 0.4371004367930479, ("steered", UvPoint(0.0, 1.0)))
+@example(64, 64, 0.5, ("steered", UvPoint(-0.6, 0.8)))
+@example(1, 1, 0.5, ("random", 4))
+def test_peak_gain_bit_equal_reference(nx, ny, spacing, kind):
+    awv = kind_weights(kind, nx, ny, spacing)
+    g, at = peak_gain(awv, spacing)
+    want_g, want_at = reference_peak_gain(awv, spacing)
+    assert (g.hex(), at.u.hex(), at.v.hex()) == (want_g.hex(), want_at.u.hex(), want_at.v.hex())
 
 
 def test_awv_rejects_non_unit_magnitudes():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from covrage import cli, csvtext, harness
 from covrage.cli import main
 from covrage.harness import build_beam, gain_map
+from covrage.planner import MAX_TRAJECTORY_SAMPLES
 
 MOVING = {
     "orientation_end_euler_deg": [20.0, 0.0, 0.0],
@@ -366,6 +367,7 @@ SPELLED = {
     "phase_bits": 3,
     "seed": 5,
 }
+REF_A = json.loads((Path(__file__).parent / "golden" / "ref_a.json").read_text())
 REF_B = json.loads((Path(__file__).parent / "golden" / "ref_b.json").read_text())
 
 
@@ -610,6 +612,39 @@ def test_hemisphere_exit_is_model_error(tmp_path, capsys):
     # The manifest is written before any model work; outputs are not.
     assert (out / "manifest.json").exists()
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("loss", [{}, {"reference_loss_db": 68.0}, {"reference_loss_db": 75.0}])
+def test_carrier_beside_a_reference_loss_exits_two(tmp_path, capsys, loss):
+    # With a numeric reference loss, no loss reads the carrier: another carrier is a config error.
+    cfg = write_config(tmp_path, dict(REF_A, link={"frequency_hz": 28e9, **loss}))
+    out = tmp_path / "out"
+    assert run("sweep", "--config", cfg, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: link.frequency_hz is read only when link.reference_loss_db is null\n"
+    assert not out.exists()
+
+
+def test_sample_count_past_the_ceiling_exits_two(tmp_path, capsys):
+    harness.Scenario(n_samples=MAX_TRAJECTORY_SAMPLES)  # the ceiling itself is accepted
+    cfg = write_config(tmp_path, dict(MOVING, n_samples=MAX_TRAJECTORY_SAMPLES + 1))
+    out = tmp_path / "out"
+    assert run("plan", "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"config error: n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing", [1e17, 1e300])
+def test_automatic_sample_count_past_the_ceiling_exits_two(tmp_path, capsys, spacing):
+    # A huge pitch makes the beam so narrow that sampling the turn would not fit in memory.
+    cfg = write_config(tmp_path, dict(REF_A, array={"spacing_wavelengths": spacing}))
+    out = tmp_path / "out"
+    assert run("plan", "--config", cfg, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: the path needs more than {MAX_TRAJECTORY_SAMPLES} samples")
+    assert err.count("\n") == 1
+    # Planning follows the manifest, so the manifest is all that is written.
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_custom_mcs_table(tmp_path):

@@ -19,6 +19,7 @@ from covrage.array_model import (
     partition_localized,
     steering_weights,
 )
+from covrage.errors import ConfigError
 from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory
 from covrage.planner import (
     COVERAGE_SLACK,
@@ -479,6 +480,18 @@ def test_plan_trajectory_long_path_resamples():
     u, v = traj.u_array(), traj.v_array()
     spacing = np.hypot(np.diff(u), np.diff(v)).max()
     assert spacing <= 2.0 * W16 / 10.0 + 1e-9
+
+
+def test_plan_trajectory_ceiling_is_the_last_count_allowed(monkeypatch):
+    # The automatic count may equal the ceiling; one sample more is a config error.
+    q1, q2 = Quaternion.identity(), Quaternion.from_axis_angle((0.0, 0.0, 1.0), 2.8)
+    args = (q1, q2, UvPoint(0.62, 0.0), ArrayConfig())
+    n = len(plan_trajectory(*args))
+    monkeypatch.setattr(planner, "MAX_TRAJECTORY_SAMPLES", n)
+    assert len(plan_trajectory(*args)) == n
+    monkeypatch.setattr(planner, "MAX_TRAJECTORY_SAMPLES", n - 1)
+    with pytest.raises(ConfigError, match=f"the path needs more than {n - 1} samples"):
+        plan_trajectory(*args)
 
 
 # ---------------------------------------------------------------------------
