@@ -71,6 +71,14 @@ class ArrayConfig:
             raise ConfigError("array dimensions must be positive")
         if self.spacing_wavelengths <= 0.0:
             raise ConfigError("element spacing must be positive")
+        # Steering phases reach 2*pi*spacing*side; past the float range they are
+        # infinite and every beam width 0.
+        try:
+            span = 2.0 * math.pi * self.spacing_wavelengths * max(self.nx, self.ny)
+        except OverflowError:  # a side too large for a float
+            span = math.inf
+        if not math.isfinite(span):
+            raise ConfigError("2*pi*array.spacing_wavelengths*max(array.nx, array.ny) must not overflow a float")
 
 
 class Awv:

@@ -28,17 +28,17 @@ from .array_model import ArrayConfig
 from .errors import ConfigError, CovrageError, read_utf8
 from .geometry import EulerAngles, Quaternion, UvPoint, euler_to_quat, euler_to_uv, trajectory_length
 from .harness import (
+    ABLATIONS,
     DISPLAY_CLAMP_DBI,
     STRATEGIES,
     Scenario,
     build_beam,
+    check_gain_map_resolution,
     gain_map,
     iter_strategies,
     sweep_trajectory,
 )
 from .link_budget import LinkParams, load_mcs_table
-
-ABLATIONS = ("no_sync", "delayed_first")
 
 
 def _fmt(x: float) -> str:
@@ -218,12 +218,6 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
     values = _scalars(doc, Scenario)
     array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
     link = _scalars(doc.get("link", {}), LinkParams, "link.")
-    # The carrier sets the loss only through the free-space anchor. The default
-    # carrier passes, as the manifest echoes it beside a numeric loss.
-    if link.get("frequency_hz", LinkParams.frequency_hz) != LinkParams.frequency_hz and (
-        link.get("reference_loss_db", LinkParams.reference_loss_db) is not None
-    ):
-        raise ConfigError("link.frequency_hz is read only when link.reference_loss_db is null")
     for name in ("orientation_start", "orientation_end", "ap_direction"):
         value = _direction(doc, name)
         if value is not None:
@@ -278,10 +272,6 @@ def _start_run(
     return out
 
 
-def _ablation_label(sc: Scenario) -> str:
-    return ",".join(name for name in ABLATIONS if getattr(sc, name))
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     if sc.strategy != "covrage":
@@ -325,10 +315,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary = {
         "schema": "covrage-sweep-summary-v1",
         "strategy": sc.strategy,
-        "ablation": _ablation_label(sc),
+        "ablation": sc.ablation,
         "n_samples": len(built.trajectory),
         "trajectory_length_uv": trajectory_length(built.trajectory),
-        "beam_count": built.plan.n_beams if built.plan is not None else 1,
+        "beam_count": built.beam_count,
         "min_gain_dbi": res.min_gain_dbi,
         "max_gain_dbi": res.max_gain_dbi,
         "gain_range_db": res.gain_range_db,
@@ -347,8 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gainmap(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    if args.resolution < 16:
-        raise ConfigError("gain map resolution must be at least 16")
+    check_gain_map_resolution(args.resolution)
     out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
     built = build_beam(sc)
     grid = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)

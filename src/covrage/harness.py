@@ -68,8 +68,10 @@ from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, PlanGeometry, plan_geomet
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
-# A comparison's rows, in order: each strategy, then each covrage ablation.
-VARIANTS = (*((strategy, "") for strategy in STRATEGIES), ("covrage", "no_sync"), ("covrage", "delayed_first"))
+# The covrage ablations, each a boolean Scenario field of the same name. A
+# comparison's rows, in order: each strategy, then each covrage ablation.
+ABLATIONS = ("no_sync", "delayed_first")
+VARIANTS = (*((strategy, "") for strategy in STRATEGIES), *(("covrage", a) for a in ABLATIONS))
 
 # Clamp used by external plotting of gain maps; recorded in CLI output metadata.
 DISPLAY_CLAMP_DBI = 30.0
@@ -99,7 +101,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if (self.no_sync or self.delayed_first) and self.strategy != "covrage":
+        if self.ablation and self.strategy != "covrage":
             raise ConfigError("ablations apply to the covrage strategy only")
         if self.n_samples is not None and not 2 <= self.n_samples <= MAX_TRAJECTORY_SAMPLES:
             raise ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
@@ -108,6 +110,11 @@ class Scenario:
         partition_interleaved(self.array, self.interleave)  # rejects an interleave the array cannot take
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+
+    @property
+    def ablation(self) -> str:
+        """The enabled ablations, comma-joined in ABLATIONS order; empty for none."""
+        return ",".join(name for name in ABLATIONS if getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -119,12 +126,16 @@ class BeamBuild:
     plan: BeamPlan | None
     trajectory: Trajectory
 
+    @property
+    def beam_count(self) -> int:
+        return self.plan.n_beams if self.plan is not None else 1
 
-def _baseline_target(strategy: str, cfg: ArrayConfig, traj: Trajectory) -> UvPoint:
-    if strategy == "baseline-start":
+
+def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
+    if sc.strategy == "baseline-start":
         return traj[0]
-    if strategy == "baseline-edge":
-        width = beamwidth_uv(min(cfg.nx, cfg.ny), cfg.spacing_wavelengths)
+    if sc.strategy == "baseline-edge":
+        width = beamwidth_uv(min(sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths)
         dist = np.hypot(*(traj.uv - traj.uv[0]).T)
         inside = np.nonzero(dist <= width / 2.0 + 1e-12)[0]
         return traj[int(inside[-1])]
@@ -134,18 +145,10 @@ def _baseline_target(strategy: str, cfg: ArrayConfig, traj: Trajectory) -> UvPoi
     return traj[int(np.argmin(np.abs(cum - cum[-1] / 2.0)))]
 
 
-def _baseline_weights(strategy: str, cfg: ArrayConfig, traj: Trajectory) -> Awv:
-    return steering_weights((cfg.nx, cfg.ny), cfg.spacing_wavelengths, _baseline_target(strategy, cfg, traj))
-
-
 def _seeded_shifts(seed: int):
     """no_sync's sync override: one seeded uniform phase per beam."""
     rng = np.random.default_rng(seed)
     return lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
-
-
-def _quantized(awv: Awv, phase_bits: int | None) -> Awv:
-    return awv if phase_bits is None else quantize_phases(awv, phase_bits)
 
 
 def build_beam(
@@ -167,8 +170,9 @@ def build_beam(
             geometry = plan_geometry(traj, sc.array, interleave=sc.interleave, delayed_first=sc.delayed_first)
         awv, plan = synthesize_plan(geometry, _seeded_shifts(sc.seed) if sc.no_sync else None)
     else:
-        awv = _baseline_weights(sc.strategy, sc.array, traj)
-    return BeamBuild(sc, _quantized(awv, sc.phase_bits), plan, traj)
+        awv = steering_weights((sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, _baseline_target(sc, traj))
+    awv = awv if sc.phase_bits is None else quantize_phases(awv, sc.phase_bits)
+    return BeamBuild(sc, awv, plan, traj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,10 +291,14 @@ class GainMap:
         return len(self.axis)
 
 
-def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
-    """Evaluate the pattern on a resolution-squared grid, indexed [u, v]."""
+def check_gain_map_resolution(resolution: int) -> None:
     if resolution < 16:
         raise ConfigError("gain map resolution must be at least 16")
+
+
+def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
+    """Evaluate the pattern on a resolution-squared grid, indexed [u, v]."""
+    check_gain_map_resolution(resolution)
     axis = np.linspace(-1.0, 1.0, resolution)
     gain = floored_gain_dbi(np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2)
     gain[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = np.nan
@@ -424,10 +432,10 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
 def _variant_row(
     sc: Scenario, strategy: str, ablation: str, traj: Trajectory, geometry: PlanGeometry | None, phasors
 ) -> CompareRow:
-    sc = replace(sc, strategy=strategy, no_sync=ablation == "no_sync", delayed_first=ablation == "delayed_first")
+    sc = replace(sc, strategy=strategy, **{name: name == ablation for name in ABLATIONS})
     built = build_beam(sc, traj, geometry)
     result = sweep_trajectory(built.awv, traj, sc.link, sc.array.spacing_wavelengths, sc.mcs_table, phasors)
-    return CompareRow(strategy, ablation, built.plan.n_beams if built.plan is not None else 1, result)
+    return CompareRow(strategy, ablation, built.beam_count, result)
 
 
 def compare_strategies(sc: Scenario) -> list[CompareRow]:

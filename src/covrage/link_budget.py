@@ -69,6 +69,9 @@ class LinkParams:
                 "link eirp_dbm minus the path loss at distance_m is not finite: check eirp_dbm "
                 "and reference_loss_db"
             )
+        # A numeric loss never reads the carrier; the default passes, as the manifest echoes it.
+        if self.frequency_hz != LinkParams.frequency_hz and self.reference_loss_db is not None:
+            raise ConfigError("link.frequency_hz is read only when link.reference_loss_db is null")
 
 
 def friis_reference_loss(frequency_hz: float, distance_m: float = 1.0) -> float:

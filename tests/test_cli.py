@@ -108,6 +108,7 @@ def test_sweep_seed_and_ablation_overrides(tmp_path):
     assert manifest["seed"] == 9
     assert manifest["scenario"]["no_sync"] is True
     assert manifest["scenario"]["delayed_first"] is False
+    assert json.loads((out_a / "summary.json").read_text())["ablation"] == "no_sync"
     # A different seed changes the unsynced weights, so the sweep differs.
     assert run("sweep", "--config", cfg, "--out-dir", out_b, "--seed", 10, "--ablation", "no_sync") == 0
     assert (out_a / "sweep.csv").read_bytes() != (out_b / "sweep.csv").read_bytes()
@@ -433,6 +434,12 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         # The carrier is link.frequency_hz alone, and no computation reads a noise floor.
         ({"array": {"frequency_hz": 28e9}}, "array.frequency_hz"),
         ({"link": {"noise_floor_dbm": -80}}, "link.noise_floor_dbm"),
+        # Steering phases of 2*pi*pitch*side past the float range: the planner's
+        # beam width and the baseline's weights would overflow.
+        (dict(REF_A, array={"spacing_wavelengths": 1e308}), "array.spacing_wavelengths"),
+        (dict(REF_A, array={"spacing_wavelengths": 1e307}, strategy="baseline-start", n_samples=64),
+         "array.spacing_wavelengths"),
+        ({"array": {"nx": 10**400}}, "max(array.nx, array.ny)"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
@@ -442,6 +449,7 @@ def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
     assert err.startswith("config error:")
     assert err.count("\n") == 1
     assert needle in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "sweep", "gainmap"])
@@ -472,7 +480,11 @@ CONFIG_DOCS = st.fixed_dictionaries(
     {
         "array": st.fixed_dictionaries(
             {"nx": st.sampled_from(SIDES), "ny": st.sampled_from(SIDES)},
-            optional={"spacing_wavelengths": st.just(1e-300) | st.floats(0.05, 2.0)},
+            optional={
+                "spacing_wavelengths": st.just(1e-300)
+                | st.floats(0.05, 2.0)
+                | st.sampled_from([1e17, 1e300, 1e307, 1e308])
+            },
         ),
         "orientation_end_euler_deg": st.lists(st.floats(-40.0, 40.0), min_size=3, max_size=3),
         "ap_direction_deg": st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2),
@@ -481,6 +493,7 @@ CONFIG_DOCS = st.fixed_dictionaries(
     optional={
         "interleave": st.sampled_from([1, 4, 16, 0, -4, 3, 9]),
         "phase_bits": st.sampled_from([None, 1, 2, 52, 0, 53]),
+        "strategy": st.sampled_from(harness.STRATEGIES),
         "link": st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in LINK_VALUES.items()}),
     },
 )

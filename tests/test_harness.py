@@ -82,6 +82,12 @@ def test_scenario_rejects_ablation_on_baselines():
         Scenario(strategy="baseline-mid", delayed_first=True)
 
 
+def test_scenario_ablation_label_follows_ablations_order():
+    assert Scenario().ablation == ""
+    assert Scenario(delayed_first=True).ablation == "delayed_first"
+    assert Scenario(delayed_first=True, no_sync=True).ablation == "no_sync,delayed_first"
+
+
 def test_scenario_rejects_bad_counts():
     with pytest.raises(ConfigError):
         Scenario(n_samples=1)

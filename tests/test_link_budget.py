@@ -276,6 +276,13 @@ def test_link_params_validation():
         LinkParams(frequency_hz=-1.0)
 
 
+def test_carrier_is_read_only_beside_a_null_loss():
+    # A numeric reference loss never reads the carrier, so another carrier is an error.
+    with pytest.raises(ConfigError, match=r"link\.frequency_hz"):
+        LinkParams(frequency_hz=28e9)
+    assert path_loss(1.0, LinkParams(frequency_hz=28e9, reference_loss_db=None)) == friis_reference_loss(28e9)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "cls,field",
