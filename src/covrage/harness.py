@@ -18,11 +18,11 @@ Comparisons read only the on-path gain and rate, so they never search.
 A comparison runs the six VARIANTS on one path, each row one build_beam and
 one sweep_trajectory. The calls share what the variants have in common: the
 trajectory is sampled once, the path phasors every sweep contracts with are
-built once, and covrage and no_sync synthesize from one plan geometry, with
-no_sync's seeded shifts in place of the sync. iter_strategies yields the rows
-one at a time, which keeps one variant's weights alive instead of six on
-large arrays. All results are deterministic functions of the scenario,
-including the seeded random pieces.
+built once, and covrage and no_sync synthesize from one weightless BeamPlan,
+with no_sync's seeded shifts in place of the sync. iter_strategies yields
+the rows one at a time, which keeps one variant's weights alive instead of
+six on large arrays. All results are deterministic functions of the
+scenario, including the seeded random pieces.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .link_budget import (
     path_loss,
     select_mcs_levels,
 )
-from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, PlanGeometry, plan_geometry, plan_trajectory, synthesize_plan
+from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, plan_geometry, plan_trajectory, sample_count_error, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
@@ -104,7 +104,7 @@ class Scenario:
         if self.ablation and self.strategy != "covrage":
             raise ConfigError("ablations apply to the covrage strategy only")
         if self.n_samples is not None and not 2 <= self.n_samples <= MAX_TRAJECTORY_SAMPLES:
-            raise ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
+            raise sample_count_error()
         if self.phase_bits is not None and not 1 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ConfigError(f"phase_bits must be between 1 and {MAX_PHASE_BITS}")
         partition_interleaved(self.array, self.interleave)  # rejects an interleave the array cannot take
@@ -151,26 +151,24 @@ def _seeded_shifts(seed: int):
     return lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
 
 
-def build_beam(
-    sc: Scenario, trajectory: Trajectory | None = None, geometry: PlanGeometry | None = None
-) -> BeamBuild:
+def build_beam(sc: Scenario, trajectory: Trajectory | None = None, plan: BeamPlan | None = None) -> BeamBuild:
     """Construct the weight vector a scenario's strategy calls for.
 
     ``trajectory``, when given, is the path plan_trajectory samples for the
-    scenario; ``geometry``, when given, is plan_geometry's cover of it
+    scenario; ``plan``, when given, is plan_geometry's weightless plan of it
     without delayed_first. A covrage scenario without delayed_first then
-    synthesizes from that geometry instead of planning its own.
+    synthesizes from that plan instead of planning its own.
     """
     traj = trajectory if trajectory is not None else plan_trajectory(
         sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array, sc.interleave, sc.n_samples
     )
-    plan = None
     if sc.strategy == "covrage":
-        if geometry is None or sc.delayed_first:
-            geometry = plan_geometry(traj, sc.array, interleave=sc.interleave, delayed_first=sc.delayed_first)
-        awv, plan = synthesize_plan(geometry, _seeded_shifts(sc.seed) if sc.no_sync else None)
+        if plan is None or sc.delayed_first:
+            plan = plan_geometry(traj, sc.array, interleave=sc.interleave, delayed_first=sc.delayed_first)
+        awv, plan = synthesize_plan(plan, _seeded_shifts(sc.seed) if sc.no_sync else None)
     else:
         awv = steering_weights((sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, _baseline_target(sc, traj))
+        plan = None
     awv = awv if sc.phase_bits is None else quantize_phases(awv, sc.phase_bits)
     return BeamBuild(sc, awv, plan, traj)
 
@@ -411,7 +409,7 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
 
     The scenario's own strategy and ablation flags are ignored. The variants
     share one sampled trajectory, one pair of path phasors and, but for
-    delayed_first, one plan geometry, which is dropped before delayed_first
+    delayed_first, one weightless plan, which is dropped before delayed_first
     plans its own. Each row holds its variant's weight vector, so a caller
     that drops a row before taking the next keeps one large array's weights
     alive, not six; each row is built inside _variant_row, so no local of
@@ -422,18 +420,18 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
         sc.orientation_start, sc.orientation_end, sc.ap_direction, cfg, sc.interleave, sc.n_samples
     )
     phasors = path_phasors((cfg.nx, cfg.ny), traj.u_array(), traj.v_array(), cfg.spacing_wavelengths)
-    geometry = plan_geometry(traj, cfg, interleave=sc.interleave)
+    plan = plan_geometry(traj, cfg, interleave=sc.interleave)
     for strategy, ablation in VARIANTS:
         if ablation == "delayed_first":
-            geometry = None
-        yield _variant_row(sc, strategy, ablation, traj, geometry, phasors)
+            plan = None
+        yield _variant_row(sc, strategy, ablation, traj, plan, phasors)
 
 
 def _variant_row(
-    sc: Scenario, strategy: str, ablation: str, traj: Trajectory, geometry: PlanGeometry | None, phasors
+    sc: Scenario, strategy: str, ablation: str, traj: Trajectory, plan: BeamPlan | None, phasors
 ) -> CompareRow:
     sc = replace(sc, strategy=strategy, **{name: name == ablation for name in ABLATIONS})
-    built = build_beam(sc, traj, geometry)
+    built = build_beam(sc, traj, plan)
     result = sweep_trajectory(built.awv, traj, sc.link, sc.array.spacing_wavelengths, sc.mcs_table, phasors)
     return CompareRow(strategy, ablation, built.beam_count, result)
 

@@ -6,9 +6,9 @@ budget, walks the sampled path placing beam centers greedily so that every
 sample sits within half a beamwidth of some center, assigns groups to beams
 (reinforcing with spares), aligns the phases of adjacent beams where their
 coverage discs meet, and composes the per-group weights into one full-array
-weight vector. The first steps up to steering (plan_geometry) depend only on
-the path, so plans that differ only in their shifts share them and repeat
-just the sync and composition (synthesize_plan).
+weight vector. The steps up to the assignment (plan_geometry) depend only on
+the path and give a BeamPlan with no weights; synthesize_plan steers, syncs
+and composes, so plans that differ only in their shifts share one BeamPlan.
 
 Phase alignment compares group coefficients in group-local coordinates; the
 physical origin offset of each group is cancelled separately by a per-group
@@ -22,7 +22,7 @@ computed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,7 +68,7 @@ SYNC_MAGNITUDE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BeamPlan:
-    """Complete plan: centers, overlap points, per-beam shifts, group layout."""
+    """A plan's decisions, no weights: centers, overlap points, per-beam shifts, group layout."""
 
     beam_centers: tuple[UvPoint, ...]
     overlap_points: tuple[UvPoint, ...]
@@ -276,6 +276,10 @@ def phase_sync(
     return tuple(shifts), tuple(skipped)
 
 
+def sample_count_error() -> ConfigError:
+    return ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
+
+
 def plan_trajectory(
     q1: Quaternion,
     q2: Quaternion,
@@ -289,9 +293,11 @@ def plan_trajectory(
     A fixed ``n_samples`` is taken as given. Otherwise a 64-sample probe
     estimates the path length and the quadrant-split depth; if a tenth of the
     resulting beam width needs finer spacing, the path is resampled at that
-    density, which is a config error beyond ``MAX_TRAJECTORY_SAMPLES``.
+    density. Either count is a config error beyond ``MAX_TRAJECTORY_SAMPLES``.
     """
     if n_samples is not None:
+        if n_samples > MAX_TRAJECTORY_SAMPLES:
+            raise sample_count_error()
         return sample_trajectory(q1, q2, ap_dir, n_samples)
     width = partition_interleaved(cfg, interleave).beam_width
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
@@ -309,28 +315,14 @@ def plan_trajectory(
     return sample_trajectory(q1, q2, ap_dir, n)
 
 
-class PlanGeometry(NamedTuple):
-    """A plan before phase sync: the layout, the cover, the groups and each beam's steering.
-
-    ``awvs`` holds each beam's group-local weights, in beam order. Plans
-    that differ only in their shifts share one geometry.
-    """
-
-    layout: SubArrayLayout
-    cover: CoverResult
-    assignment: tuple[tuple[int, ...], ...]
-    awvs: tuple[Awv, ...]
-    trajectory: Trajectory
-
-
 def plan_geometry(
     traj: Trajectory, cfg: ArrayConfig, *, interleave: int = 4, delayed_first: bool = False
-) -> PlanGeometry:
-    """Cover a sampled path: split depth, beam centers, group allocation, steering.
+) -> BeamPlan:
+    """Cover a sampled path: split depth, beam centers, group allocation; no weights.
 
     The split depth starts from the path length. The placed beam count is
     authoritative: if it exceeds the group budget the split depth is raised
-    and coverage rerun.
+    and coverage rerun. Every shift stays 1 until synthesize_plan.
     """
     layout = partition_interleaved(cfg, interleave)
     length = trajectory_length(traj)
@@ -341,22 +333,30 @@ def plan_geometry(
         if len(cover.centers) <= layout.n_sub:
             break
         layout = partition_localized(layout)
-    assignment = allocate_sub_arrays(len(cover.centers), layout.n_sub)
-    shape = (layout.side_x, layout.side_y)
-    awvs = tuple(steering_weights(shape, layout.spacing_wl, center) for center in cover.centers)
-    return PlanGeometry(layout, cover, assignment, awvs, traj)
+    return BeamPlan(
+        beam_centers=cover.centers,
+        overlap_points=cover.overlaps,
+        sync_shifts=(complex(1.0, 0.0),) * len(cover.centers),
+        layout=layout,
+        assignment=allocate_sub_arrays(len(cover.centers), layout.n_sub),
+        trajectory=traj,
+        extrapolated=cover.extrapolated,
+        sync_skipped=(),
+    )
 
 
 def synthesize_plan(
-    geometry: PlanGeometry, sync_override: Callable[[int], Sequence[complex]] | None = None
+    plan: BeamPlan, sync_override: Callable[[int], Sequence[complex]] | None = None
 ) -> tuple[Awv, BeamPlan]:
-    """Sync a geometry's beams and compose them into one full-array weight vector.
+    """Steer a plan's beams, sync them and compose one full-array weight vector.
 
-    sync_override, called with the beam count, replaces the computed shifts
-    with one unit phasor per beam; the first shift is then taken from the
-    override as well.
+    The plan's own shifts are never read; the returned plan carries the ones
+    composed with. sync_override, called with the beam count, replaces the
+    computed shifts with one unit phasor per beam, the first included.
     """
-    layout, cover, assignment, awvs, traj = geometry
+    layout = plan.layout
+    shape = (layout.side_x, layout.side_y)
+    awvs = [steering_weights(shape, layout.spacing_wl, center) for center in plan.beam_centers]
     if sync_override is not None:
         shifts = tuple(complex(v) for v in sync_override(len(awvs)))
         if len(shifts) != len(awvs):
@@ -365,26 +365,16 @@ def synthesize_plan(
             raise ValueError("shift overrides must be unit phasors")
         skipped: tuple[int, ...] = ()
     else:
-        shifts, skipped = phase_sync(awvs, cover.overlaps, layout)
+        shifts, skipped = phase_sync(awvs, plan.overlap_points, layout)
 
     sub_awvs: list[Awv | None] = [None] * layout.n_sub
     sub_shifts = np.zeros(layout.n_sub, dtype=complex)
-    for subs, center, weights, shift in zip(assignment, cover.centers, awvs, shifts):
+    for subs, center, weights, shift in zip(plan.assignment, plan.beam_centers, awvs, shifts):
         for sidx in subs:
             sub_awvs[sidx] = weights
             sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, center)
     awv = compose_full_awv(sub_awvs, sub_shifts, layout)
-    plan = BeamPlan(
-        beam_centers=cover.centers,
-        overlap_points=cover.overlaps,
-        sync_shifts=shifts,
-        layout=layout,
-        assignment=assignment,
-        trajectory=traj,
-        extrapolated=cover.extrapolated,
-        sync_skipped=skipped,
-    )
-    return awv, plan
+    return awv, replace(plan, sync_shifts=shifts, sync_skipped=skipped)
 
 
 def covrage_plan(
@@ -405,5 +395,5 @@ def covrage_plan(
     weight vector (synthesize_plan).
     """
     traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave, n_samples)
-    geometry = plan_geometry(traj, cfg, interleave=interleave, delayed_first=delayed_first)
-    return synthesize_plan(geometry, sync_override)
+    plan = plan_geometry(traj, cfg, interleave=interleave, delayed_first=delayed_first)
+    return synthesize_plan(plan, sync_override)

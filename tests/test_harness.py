@@ -485,8 +485,8 @@ def seeded_override(seed: int):
 def test_build_beam_equals_covrage_plan(no_sync, delayed_first, phase_bits):
     # build_beam composes the planner's steps itself; covrage_plan is the
     # same pipeline behind one call, and the two must give the same bits.
-    # Handed the path and the plain geometry, as a comparison does, build_beam
-    # reuses that geometry unless delayed_first needs its own.
+    # Handed the path and the plain plan, as a comparison does, build_beam
+    # reuses that plan unless delayed_first needs its own.
     sc = dataclasses.replace(
         reference_scenario("b"), no_sync=no_sync, delayed_first=delayed_first, phase_bits=phase_bits, seed=29
     )
@@ -509,6 +509,19 @@ def test_build_beam_equals_covrage_plan(no_sync, delayed_first, phase_bits):
     assert dataclasses.astuple(got.layout) == dataclasses.astuple(plan.layout)
     for field in ("beam_centers", "overlap_points", "sync_shifts", "assignment", "extrapolated", "sync_skipped"):
         assert getattr(got, field) == getattr(plan, field), field
+
+
+def test_comparison_plans_once_plus_delayed_first(monkeypatch):
+    # covrage and no_sync synthesize from one shared plan; delayed_first plans its own.
+    calls = []
+
+    def counting(traj, cfg, **kwargs):
+        calls.append(kwargs.get("delayed_first", False))
+        return plan_geometry(traj, cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "plan_geometry", counting)
+    compare_strategies(reference_scenario("b"))
+    assert calls == [False, True]
 
 
 def oracle_rows(sc: Scenario):

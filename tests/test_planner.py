@@ -1,6 +1,7 @@
 """Coverage planning against index-arithmetic and scatter oracles."""
 
 import cmath
+import dataclasses
 import math
 from typing import Sequence
 
@@ -24,14 +25,17 @@ from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory
 from covrage.planner import (
     COVERAGE_SLACK,
     EXTRAPOLATION_CAP_FACTOR,
+    MAX_TRAJECTORY_SAMPLES,
     BeamPlan,
     CoverResult,
     allocate_sub_arrays,
     cover_points,
     covrage_plan,
     phase_sync,
+    plan_geometry,
     plan_trajectory,
     subdivision_level,
+    synthesize_plan,
 )
 from test_array_model import element_images
 
@@ -663,6 +667,67 @@ def test_covrage_plan_rejects_tiny_sample_count():
     q1, q2, ap = collinear_pair(0.3)
     with pytest.raises(ValueError):
         covrage_plan(q1, q2, ap, ArrayConfig(), n_samples=1)
+
+
+def test_fixed_sample_count_past_the_ceiling_is_a_config_error(monkeypatch):
+    # Refused before sampling, so nothing is allocated for the 2**20 + 1 points.
+    def no_sampling(*args):
+        raise AssertionError("sampled a path past the ceiling")
+
+    monkeypatch.setattr(planner, "sample_trajectory", no_sampling)
+    q1, q2, ap = collinear_pair(0.3)
+    message = f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}"
+    with pytest.raises(ConfigError, match=message):
+        plan_trajectory(q1, q2, ap, ArrayConfig(), n_samples=MAX_TRAJECTORY_SAMPLES + 1)
+    with pytest.raises(ConfigError, match=message):
+        covrage_plan(q1, q2, ap, ArrayConfig(), n_samples=MAX_TRAJECTORY_SAMPLES + 1)
+
+
+# ---------------------------------------------------------------------------
+# One plan record: plan_geometry decides, synthesize_plan makes the weights
+
+
+def counted_steering(monkeypatch) -> list[UvPoint]:
+    """The centres planner.steering_weights is called with, in call order."""
+    centers = []
+
+    def counting(shape, spacing_wl, center):
+        centers.append(center)
+        return steering_weights(shape, spacing_wl, center)
+
+    monkeypatch.setattr(planner, "steering_weights", counting)
+    return centers
+
+
+@pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
+def test_only_synthesize_plan_steers(monkeypatch, no_sync):
+    centers = counted_steering(monkeypatch)
+    q1, q2, ap = collinear_pair(0.5)
+    plan = plan_geometry(plan_trajectory(q1, q2, ap, ArrayConfig()), ArrayConfig())
+    assert centers == []
+    assert plan.sync_shifts == (complex(1.0, 0.0),) * plan.n_beams
+    assert plan.sync_skipped == ()
+    override = (lambda count: np.exp(1j * np.arange(count))) if no_sync else None
+    _, synced = synthesize_plan(plan, override)
+    assert centers == list(plan.beam_centers)  # once per beam, in beam order
+    assert synced.beam_centers == plan.beam_centers
+
+
+@pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
+def test_synthesize_plan_never_reads_incoming_shifts(no_sync):
+    q1, q2, ap = collinear_pair(0.5)
+    plan = plan_geometry(plan_trajectory(q1, q2, ap, ArrayConfig()), ArrayConfig())
+    rng = np.random.default_rng(17)
+    scrambled = dataclasses.replace(
+        plan, sync_shifts=tuple(complex(z) for z in np.exp(2j * np.pi * rng.uniform(size=plan.n_beams)))
+    )
+    override = (lambda count: np.exp(1j * np.arange(count))) if no_sync else None
+    awv, synced = synthesize_plan(plan, override)
+    awv_scrambled, synced_scrambled = synthesize_plan(scrambled, override)
+    assert np.array_equal(awv.weights, awv_scrambled.weights)
+    assert synced.sync_shifts == synced_scrambled.sync_shifts
+    assert synced.sync_skipped == synced_scrambled.sync_skipped
+    assert synced == dataclasses.replace(plan, sync_shifts=synced.sync_shifts, sync_skipped=synced.sync_skipped)
 
 
 def test_beam_plan_validation():
