@@ -8,13 +8,13 @@ summing weight times offset over the aperture gives the receive coefficient,
 and ``10 log10 |C|^2`` the gain in dBi.
 
 The offset is written in two forms. At one point it is the conjugate of the
-steering weights toward that point, so ``array_coefficient`` sums weights times
-``conj(steering_weights)``. On many points it separates into per-axis phasors,
-``exp(-2j pi d x u)`` and likewise in y, which ``path_phasors`` and
-``coefficient_grid`` contract with the weights. Where bits must not move, an
-operand of numpy's vectorised complex multiply is bound to a name: an unnamed
-temporary is multiplied in place, which rounds differently, as can swapped
-operands.
+steering weights toward that point; ``array_coefficient`` sums weights times
+the conjugate of a steering its caller passes, so one steering serves several
+weight vectors. On many points it separates into per-axis phasors,
+``exp(-2j pi d x u)`` and in y, which ``path_phasors`` and ``coefficient_grid``
+contract with the weights. Where bits must not move, an operand of numpy's
+vectorised complex multiply is bound to a name: an unnamed temporary is
+multiplied in place, which rounds differently, as can swapped operands.
 
 Sub-array layouts assign every physical element to exactly one group and give it
 local coordinates inside that group. Interleaving takes every sqrt(M)-th element,
@@ -237,10 +237,10 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoi
     return Awv._trusted(w)
 
 
-def array_coefficient(awv: Awv, p: UvPoint, spacing_wl: float) -> complex:
-    """Receive coefficient at ``p``: sum of weight times plane-wave offset over elements."""
+def array_coefficient(awv: Awv, toward: Awv) -> complex:
+    """Receive coefficient toward a point, given the steering weights at it (same shape as ``awv``)."""
     # Named: numpy multiplies into an unnamed temporary in place, which rounds differently.
-    offset = np.conj(steering_weights(awv.shape, spacing_wl, p).weights)
+    offset = np.conj(toward.weights)
     return complex((awv.weights * offset).sum())
 
 

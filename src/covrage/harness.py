@@ -4,10 +4,10 @@ A Scenario bundles everything one run needs: array and link configuration, the
 orientation pair, the true AP direction, and which beam strategy to evaluate.
 Strategies are the trajectory-covering plan ("covrage") and three single-beam
 baselines steering the whole aperture at the path start, at the farthest
-sample whose beam still covers the start, or at the halfway sample. Two
-ablations modify the covering plan only: no_sync randomizes every beam-level
-phase shift (seeded), delayed_first moves the first beam to the farthest
-sample still covering the path start.
+sample whose beam still covers the start (planner.last_covering), or at the
+halfway sample. Two ablations modify the covering plan only: no_sync takes
+seeded random beam-level phase shifts, and delayed_first moves the first beam
+to the farthest sample still covering the path start, by the same rule.
 
 Sweeps report per-sample receive gain, received power, and the selected rate
 entry. The noise penalty against the pattern's hemisphere-wide maximum needs a
@@ -38,7 +38,6 @@ from .array_model import (
     MAX_PHASE_BITS,
     ArrayConfig,
     Awv,
-    beamwidth_uv,
     coefficient_grid,
     floored_gain_dbi,
     partition_interleaved,
@@ -64,7 +63,8 @@ from .link_budget import (
     path_loss,
     select_mcs_levels,
 )
-from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, plan_geometry, plan_trajectory, sample_count_error, synthesize_plan
+from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, sample_count_error
+from .planner import last_covering, plan_geometry, plan_trajectory, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
 
@@ -135,20 +135,16 @@ def _baseline_target(sc: Scenario, traj: Trajectory) -> UvPoint:
     if sc.strategy == "baseline-start":
         return traj[0]
     if sc.strategy == "baseline-edge":
-        width = beamwidth_uv(min(sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths)
-        dist = np.hypot(*(traj.uv - traj.uv[0]).T)
-        inside = np.nonzero(dist <= width / 2.0 + 1e-12)[0]
-        return traj[int(inside[-1])]
+        return traj[last_covering(traj, partition_interleaved(sc.array, 1).half_width)]
     # halfway along the path by arc length, nearest sample
     seg = np.hypot(*np.diff(traj.uv, axis=0).T)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     return traj[int(np.argmin(np.abs(cum - cum[-1] / 2.0)))]
 
 
-def _seeded_shifts(seed: int):
-    """no_sync's sync override: one seeded uniform phase per beam."""
-    rng = np.random.default_rng(seed)
-    return lambda count: np.exp(2j * np.pi * rng.uniform(size=count))
+def _seeded_shifts(seed: int, count: int) -> np.ndarray:
+    """no_sync's shifts: one seeded uniform phase per beam."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=count))
 
 
 def build_beam(sc: Scenario, trajectory: Trajectory | None = None, plan: BeamPlan | None = None) -> BeamBuild:
@@ -165,7 +161,7 @@ def build_beam(sc: Scenario, trajectory: Trajectory | None = None, plan: BeamPla
     if sc.strategy == "covrage":
         if plan is None or sc.delayed_first:
             plan = plan_geometry(traj, sc.array, interleave=sc.interleave, delayed_first=sc.delayed_first)
-        awv, plan = synthesize_plan(plan, _seeded_shifts(sc.seed) if sc.no_sync else None)
+        awv, plan = synthesize_plan(plan, _seeded_shifts(sc.seed, plan.n_beams) if sc.no_sync else None)
     else:
         awv = steering_weights((sc.array.nx, sc.array.ny), sc.array.spacing_wavelengths, _baseline_target(sc, traj))
         plan = None

@@ -127,7 +127,8 @@ def load_mcs_table(source) -> tuple[McsEntry, ...]:
     """Parse a rate table from a CSV path or file-like object.
 
     Column order is fixed: index, sensitivity_dbm, datarate_mbps. Blank lines
-    and lines starting with # are skipped; the header row is required.
+    and lines starting with # are skipped; the header row is required. Indices
+    are distinct and non-negative and rates positive, unlike LINK_LOST's.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -142,7 +143,7 @@ def load_mcs_table(source) -> tuple[McsEntry, ...]:
     ]
     if not rows or tuple(c.strip() for c in rows[0].split(",")) != MCS_TABLE_HEADER:
         raise ConfigError(f"{origin}: first row must be '{','.join(MCS_TABLE_HEADER)}'")
-    entries = []
+    entries: dict[int, McsEntry] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         cells = [c.strip() for c in row.split(",")]
         if len(cells) != 3:
@@ -153,8 +154,12 @@ def load_mcs_table(source) -> tuple[McsEntry, ...]:
             raise ConfigError(f"{origin}: row {lineno}: {exc}") from None
         if not (math.isfinite(entry.sensitivity_dbm) and math.isfinite(entry.datarate_mbps)):
             raise ConfigError(f"{origin}: row {lineno}: sensitivity and datarate must be finite")
-        entries.append(entry)
-    return _validate_table(entries, origin)
+        if entry.index < 0 or entry.index in entries:
+            raise ConfigError(f"{origin}: row {lineno}: index {entry.index} must be non-negative and unused")
+        if entry.datarate_mbps <= 0.0:
+            raise ConfigError(f"{origin}: row {lineno}: datarate must be above 0")
+        entries[entry.index] = entry
+    return _validate_table(list(entries.values()), origin)
 
 
 @lru_cache(maxsize=1)

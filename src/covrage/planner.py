@@ -3,11 +3,11 @@
 The planner splits the aperture into interleaved groups (full-width beams),
 subdivides them into quadrant blocks when the path is too long for the group
 budget, walks the sampled path placing beam centers greedily so that every
-sample sits within half a beamwidth of some center, assigns groups to beams
-(reinforcing with spares), aligns the phases of adjacent beams where their
-coverage discs meet, and composes the per-group weights into one full-array
-weight vector. The steps up to the assignment (plan_geometry) depend only on
-the path and give a BeamPlan with no weights; synthesize_plan steers, syncs
+sample lies in the closed disc of half a beamwidth around a center, assigns
+groups to beams (reinforcing with spares), aligns the phases of adjacent beams
+with one steering per overlap point, and composes the per-group weights into
+one full-array weight vector. plan_geometry (up to the assignment) depends only
+on the path and gives a BeamPlan with no weights; synthesize_plan steers, syncs
 and composes, so plans that differ only in their shifts share one BeamPlan.
 
 Phase alignment compares group coefficients in group-local coordinates; the
@@ -149,11 +149,23 @@ def allocate_sub_arrays(n_beams: int, n_groups: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(g) for g in groups)
 
 
+def _radius2(half_width: float) -> float:
+    # Squared closed-disc radius. No two points of the unit disc are more than 2
+    # apart, so a wider radius covers the same points; the cap keeps the square finite.
+    return (min(half_width, 2.0) + COVERAGE_SLACK) ** 2
+
+
+def last_covering(trajectory: Trajectory, half_width: float) -> int:
+    """Index of the last sample inside the closed coverage disc around the first sample."""
+    d = trajectory.uv - trajectory.uv[0]
+    return int(np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= _radius2(half_width))[-1])
+
+
 def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bool = False) -> CoverResult:
     """Place beam centers so every trajectory sample lies within half_width of one.
 
     Walks the samples in order. The first beam sits on the first sample (or,
-    with delayed_first, on the farthest sample still covering it). When a
+    with delayed_first, on the one last_covering picks). When a
     sample falls outside every placed beam, a candidate center advances along
     the remaining samples and is locked at the last position that still covers
     both the pending uncovered samples and an overlap anchor: the most recent
@@ -170,9 +182,7 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
     n = len(pts)
     if half_width <= 0.0:
         raise ValueError("half_width must be positive")
-    # No two points of the unit disc are more than 2 apart, so a wider radius
-    # covers the same points; the cap keeps the square finite.
-    h2 = (min(half_width, 2.0) + COVERAGE_SLACK) ** 2
+    h2 = _radius2(half_width)
 
     def near(a: Sequence[float], b: Sequence[float]) -> bool:
         dx = a[0] - b[0]
@@ -196,13 +206,7 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
         y = pts[-1][1] + k * step_y
         return (x, y) if x * x + y * y <= 1.0 + COVERAGE_SLACK else None
 
-    start = 0
-    if delayed_first:
-        for j in range(n - 1, -1, -1):
-            if near(pts[j], pts[0]):
-                start = j
-                break
-    centers = [pts[start]]
+    centers = [pts[last_covering(trajectory, half_width) if delayed_first else 0]]
     overlaps: list[Sequence[float]] = []
     extrapolated = False
 
@@ -266,8 +270,9 @@ def phase_sync(
     shifts: list[complex] = [complex(1.0, 0.0)]
     skipped: list[int] = []
     for k, overlap in enumerate(overlap_points):
-        prev = shifts[k] * array_coefficient(awvs[k], overlap, layout.spacing_wl)
-        nxt = array_coefficient(awvs[k + 1], overlap, layout.spacing_wl)
+        toward = steering_weights(awvs[k].shape, layout.spacing_wl, overlap)
+        prev = shifts[k] * array_coefficient(awvs[k], toward)
+        nxt = array_coefficient(awvs[k + 1], toward)
         if abs(prev) < SYNC_MAGNITUDE_FLOOR or abs(nxt) < SYNC_MAGNITUDE_FLOOR:
             shifts.append(complex(1.0, 0.0))
             skipped.append(k)
@@ -345,24 +350,20 @@ def plan_geometry(
     )
 
 
-def synthesize_plan(
-    plan: BeamPlan, sync_override: Callable[[int], Sequence[complex]] | None = None
-) -> tuple[Awv, BeamPlan]:
+def synthesize_plan(plan: BeamPlan, shifts: Sequence[complex] | None = None) -> tuple[Awv, BeamPlan]:
     """Steer a plan's beams, sync them and compose one full-array weight vector.
 
     The plan's own shifts are never read; the returned plan carries the ones
-    composed with. sync_override, called with the beam count, replaces the
-    computed shifts with one unit phasor per beam, the first included.
+    composed with. ``shifts``, one unit phasor per beam, the first included,
+    replaces the computed sync (compose_full_awv rejects one that is not unit).
     """
     layout = plan.layout
     shape = (layout.side_x, layout.side_y)
     awvs = [steering_weights(shape, layout.spacing_wl, center) for center in plan.beam_centers]
-    if sync_override is not None:
-        shifts = tuple(complex(v) for v in sync_override(len(awvs)))
+    if shifts is not None:
+        shifts = tuple(complex(v) for v in shifts)
         if len(shifts) != len(awvs):
-            raise ValueError(f"expected {len(awvs)} shift overrides, got {len(shifts)}")
-        if any(abs(abs(v) - 1.0) > 1e-9 for v in shifts):
-            raise ValueError("shift overrides must be unit phasors")
+            raise ValueError(f"expected {len(awvs)} shifts, got {len(shifts)}")
         skipped: tuple[int, ...] = ()
     else:
         shifts, skipped = phase_sync(awvs, plan.overlap_points, layout)
@@ -390,10 +391,10 @@ def covrage_plan(
 ) -> tuple[Awv, BeamPlan]:
     """Full pipeline from an orientation pair to a composed weight vector.
 
-    Samples the apparent AP trajectory, covers it (plan_geometry), then
-    synchronizes adjacent beams and composes everything into one full-array
-    weight vector (synthesize_plan).
+    Samples the apparent AP trajectory, covers it (plan_geometry), then syncs
+    adjacent beams, or takes sync_override(beam count) as the shifts, and
+    composes one full-array weight vector (synthesize_plan).
     """
     traj = plan_trajectory(q1, q2, ap_dir, cfg, interleave, n_samples)
     plan = plan_geometry(traj, cfg, interleave=interleave, delayed_first=delayed_first)
-    return synthesize_plan(plan, sync_override)
+    return synthesize_plan(plan, None if sync_override is None else sync_override(plan.n_beams))

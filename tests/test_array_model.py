@@ -139,7 +139,7 @@ def test_array_coefficient_matches_brute_force():
         awv = random_awv(rng, nx, ny)
         for _ in range(4):
             p = random_uv(rng)
-            got = array_coefficient(awv, p, 0.5)
+            got = array_coefficient(awv, steering_weights(awv.shape, 0.5, p))
             want = brute_coefficient(awv.weights, p.u, p.v, 0.5)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -202,7 +202,7 @@ def test_gain_floor_at_pattern_null():
 def test_coefficient_magnitude_bounded_by_element_count(seed):
     rng = np.random.default_rng(seed)
     awv = random_awv(rng, 4, 5)
-    assert abs(array_coefficient(awv, random_uv(rng), 0.5)) <= 20.0 + 1e-9
+    assert abs(array_coefficient(awv, steering_weights(awv.shape, 0.5, random_uv(rng)))) <= 20.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def test_opposed_shifts_cancel_coefficients():
     base = [origin_phase_correction(layout, k, d) for k in range(4)]
     signs = [1.0, -1.0, -1.0, 1.0]
     composed = compose_full_awv([sub] * 4, [s * b for s, b in zip(signs, base)], layout)
-    c = array_coefficient(composed, d, cfg.spacing_wavelengths)
+    c = array_coefficient(composed, steering_weights(composed.shape, cfg.spacing_wavelengths, d))
     assert abs(c) < 1e-6
 
 
@@ -645,7 +645,7 @@ def kind_weights(kind: tuple, nx: int, ny: int, spacing_wl: float) -> Awv:
 @example(1, 1, 2.0, ("random", 3), UvPoint(1.0, 0.0))
 def test_array_coefficient_bit_equal_reference(nx, ny, spacing, kind, p):
     awv = kind_weights(kind, nx, ny, spacing)
-    got = np.array([array_coefficient(awv, p, spacing)])
+    got = np.array([array_coefficient(awv, steering_weights(awv.shape, spacing, p))])
     want = np.array([reference_array_coefficient(awv, p, spacing)])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 

@@ -692,6 +692,20 @@ def test_non_finite_mcs_table_exits_two(tmp_path, capsys):
     assert "row 3: sensitivity and datarate must be finite" in err
 
 
+def test_rate_table_mimicking_a_lost_link_exits_two(tmp_path, capsys):
+    # Index -1 and rates of 0 or less would print as LINK_LOST's entry or below it.
+    (tmp_path / "rates.csv").write_text(
+        "index,sensitivity_dbm,datarate_mbps\n-1,-90,-5\n0,-80,0\n1,-70,100\n"
+    )
+    doc = dict(MOVING, link={"eirp_dbm": -60.0}, mcs_table_path="rates.csv")
+    assert run("sweep", "--config", write_config(tmp_path, doc), "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+    assert "rates.csv: row 2: index -1 must be non-negative" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from covrage import array_model, harness
 from covrage.array_model import (
@@ -130,6 +130,41 @@ def test_baseline_edge_steers_inside_full_beam_of_start():
     target = traj[int(inside[-1])]
     want = steering_weights((32, 32), 0.25, target)
     np.testing.assert_array_equal(built.awv.weights, want.weights)
+
+
+def assert_delayed_first_starts_at_edge_target(sc: Scenario) -> None:
+    # At split depth 0 with interleave 4, a group's beam is as wide as the full
+    # aperture's, bit for bit, so delayed_first and baseline-edge find the same
+    # last sample inside the closed disc around the start.
+    delayed = build_beam(dataclasses.replace(sc, delayed_first=True))
+    layout = delayed.plan.layout
+    assert (layout.interleave_factor, layout.subdivisions) == (4, 0)
+    assert layout.half_width == array_model.partition_interleaved(sc.array, 1).half_width
+    edge = dataclasses.replace(sc, strategy="baseline-edge")
+    assert harness._baseline_target(edge, delayed.trajectory) == delayed.plan.beam_centers[0]
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_delayed_first_starts_at_baseline_edge_target(name):
+    assert_delayed_first_starts_at_edge_target(reference_scenario(name))
+
+
+@settings(max_examples=30)
+@given(
+    n=st.sampled_from((16, 32, 64)),
+    n_samples=st.sampled_from((None, 64, 97)),
+    turn_seed=st.integers(0, 2**16),
+    length=st.floats(0.01, 0.3),
+)
+def test_delayed_first_starts_at_baseline_edge_target_on_head_turns(n, n_samples, turn_seed, length):
+    ap = UvPoint(0.1, -0.05)
+    q1, q2 = random_head_rotation(turn_seed, length, ap)
+    sc = Scenario(
+        array=ArrayConfig(n, n), orientation_start=q1, orientation_end=q2, ap_direction=ap, n_samples=n_samples
+    )
+    traj = plan_trajectory(q1, q2, ap, sc.array, sc.interleave, n_samples)
+    assume(plan_geometry(traj, sc.array, delayed_first=True).layout.subdivisions == 0)
+    assert_delayed_first_starts_at_edge_target(sc)
 
 
 def test_covrage_build_carries_plan():

@@ -108,7 +108,7 @@ def test_received_power_follows_link_distance():
 
 def test_default_table_shape():
     table = default_mcs_table()
-    assert len(table) == 13
+    assert [e.index for e in table] == list(range(13))
     control = table[0]
     assert (control.index, control.sensitivity_dbm, control.datarate_mbps) == (0, -78.0, 27.5)
     assert table[-1].sensitivity_dbm == -53.0
@@ -229,6 +229,24 @@ def test_load_mcs_table_bad_row_names_line():
 def test_load_mcs_table_rejects_non_finite_cells(rows, needle):
     text = f"index,sensitivity_dbm,datarate_mbps\n{rows}\n"
     with pytest.raises(ConfigError, match=f"{needle}: sensitivity and datarate must be finite"):
+        load_mcs_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "rows,needle",
+    [
+        ("-1,-90,27.5\n0,-78,385", "row 2: index -1 must be non-negative"),
+        ("0,-78,27.5\n-3,-68,385", "row 3: index -3 must be non-negative"),
+        ("0,-78,27.5\n0,-68,385", "row 3: index 0 must be non-negative and unused"),
+        ("4,-78,27.5\n1,-68,385\n4,-66,770", "row 4: index 4 must be non-negative and unused"),
+        ("0,-80,0\n1,-70,100", "row 2: datarate must be above 0"),
+        ("0,-80,-5\n1,-70,100", "row 2: datarate must be above 0"),
+    ],
+)
+def test_load_mcs_table_rejects_entries_an_output_reads_as_link_lost(rows, needle):
+    # LINK_LOST is index -1 at rate 0: a table entry must differ from it in both.
+    text = f"index,sensitivity_dbm,datarate_mbps\n{rows}\n"
+    with pytest.raises(ConfigError, match=needle):
         load_mcs_table(io.StringIO(text))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covrage import planner
+from covrage import array_model, planner
 from covrage.array_model import (
     ArrayConfig,
     array_coefficient,
@@ -183,6 +183,18 @@ def test_cover_delayed_first_frozen():
     # The start must still be covered by the (delayed) first beam.
     assert res.centers[0].u <= 0.0554 + 1e-9
     assert not res.extrapolated
+
+
+def test_last_covering_is_the_last_sample_in_the_closed_disc():
+    # Out past the disc, back inside it, then out again: the return counts. The
+    # disc's radius is half_width plus COVERAGE_SLACK, boundary included.
+    traj = Trajectory([[0.0, 0.0], [0.25, 0.0], [0.6, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0]])
+    assert planner.last_covering(traj, 0.25) == 3
+    assert (0.5 - COVERAGE_SLACK) + COVERAGE_SLACK == 0.5
+    assert planner.last_covering(traj, 0.5 - COVERAGE_SLACK) == 4
+    assert planner.last_covering(traj, 0.5 - 2 * COVERAGE_SLACK) == 3
+    assert planner.last_covering(traj, 0.1) == 0
+    assert planner.last_covering(traj, 1e300) == 5
 
 
 def test_cover_delayed_first_matches_index_oracle():
@@ -437,8 +449,9 @@ def test_phase_sync_aligns_phases_at_overlaps():
     assert skipped == ()
     assert shifts[0] == 1.0 + 0.0j
     for k, o in enumerate(overlaps):
-        prev = shifts[k] * array_coefficient(beams[k], o, layout.spacing_wl)
-        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], o, layout.spacing_wl)
+        toward = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, o)
+        prev = shifts[k] * array_coefficient(beams[k], toward)
+        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], toward)
         # Shifted coefficients agree in phase: their sum is fully constructive.
         assert abs(prev + nxt) == pytest.approx(abs(prev) + abs(nxt), abs=1e-6)
         assert cmath.phase(prev / nxt) == pytest.approx(0.0, abs=1e-9)
@@ -623,6 +636,8 @@ def test_covrage_plan_sync_override_validation():
         covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0))
     with pytest.raises(ValueError, match="unit"):
         covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0, 1.0, 0.5))
+    with pytest.raises(ValueError, match="unit"):
+        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, math.nan, 1.0, 1.0))
 
 
 def test_covrage_plan_subdivides_long_trajectory():
@@ -688,7 +703,7 @@ def test_fixed_sample_count_past_the_ceiling_is_a_config_error(monkeypatch):
 
 
 def counted_steering(monkeypatch) -> list[UvPoint]:
-    """The centres planner.steering_weights is called with, in call order."""
+    """The points steering_weights is called with, in planner or array_model, in call order."""
     centers = []
 
     def counting(shape, spacing_wl, center):
@@ -696,6 +711,7 @@ def counted_steering(monkeypatch) -> list[UvPoint]:
         return steering_weights(shape, spacing_wl, center)
 
     monkeypatch.setattr(planner, "steering_weights", counting)
+    monkeypatch.setattr(array_model, "steering_weights", counting)
     return centers
 
 
@@ -707,10 +723,14 @@ def test_only_synthesize_plan_steers(monkeypatch, no_sync):
     assert centers == []
     assert plan.sync_shifts == (complex(1.0, 0.0),) * plan.n_beams
     assert plan.sync_skipped == ()
-    override = (lambda count: np.exp(1j * np.arange(count))) if no_sync else None
-    _, synced = synthesize_plan(plan, override)
-    assert centers == list(plan.beam_centers)  # once per beam, in beam order
+    _, synced = synthesize_plan(plan, np.exp(1j * np.arange(plan.n_beams)) if no_sync else None)
     assert synced.beam_centers == plan.beam_centers
+    if no_sync:
+        assert centers == list(plan.beam_centers)  # once per beam, in beam order
+    else:
+        # Then once per overlap, shared by the two beams that meet there: 2B - 1 in all.
+        assert centers == [*plan.beam_centers, *plan.overlap_points]
+        assert plan.n_beams > 1 and len(centers) == 2 * plan.n_beams - 1
 
 
 @pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
@@ -721,9 +741,9 @@ def test_synthesize_plan_never_reads_incoming_shifts(no_sync):
     scrambled = dataclasses.replace(
         plan, sync_shifts=tuple(complex(z) for z in np.exp(2j * np.pi * rng.uniform(size=plan.n_beams)))
     )
-    override = (lambda count: np.exp(1j * np.arange(count))) if no_sync else None
-    awv, synced = synthesize_plan(plan, override)
-    awv_scrambled, synced_scrambled = synthesize_plan(scrambled, override)
+    shifts = np.exp(1j * np.arange(plan.n_beams)) if no_sync else None
+    awv, synced = synthesize_plan(plan, shifts)
+    awv_scrambled, synced_scrambled = synthesize_plan(scrambled, shifts)
     assert np.array_equal(awv.weights, awv_scrambled.weights)
     assert synced.sync_shifts == synced_scrambled.sync_shifts
     assert synced.sync_skipped == synced_scrambled.sync_skipped
