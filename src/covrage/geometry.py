@@ -48,6 +48,15 @@ class Quaternion:
 
     def __post_init__(self) -> None:
         n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+        if not math.isfinite(n):
+            # The squares overflow from about 1.3e154: divide by the largest component first.
+            parts = (self.w, self.x, self.y, self.z)
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("quaternion components must be finite")
+            m = max(map(abs, parts))
+            for name, c in zip("wxyz", parts):
+                object.__setattr__(self, name, c / m)
+            n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
         if n < _ZERO_TOL:
             raise ValueError("quaternion norm is zero")
         if abs(n - 1.0) > _UNIT_TOL:
@@ -116,10 +125,11 @@ class Trajectory:
         uv = np.array(self.uv, dtype=float)
         if uv.ndim != 2 or uv.shape[1] != 2 or len(uv) == 0:
             raise ValueError(f"trajectory needs one or more (u, v) rows, got shape {uv.shape}")
-        outside = np.nonzero(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] > 1.0 + 1e-12)[0]
+        # Written as "not inside" so that a NaN row is rejected too.
+        outside = np.nonzero(~(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] <= 1.0 + 1e-12))[0]
         if outside.size:
             u, v = uv[outside[0]].tolist()
-            raise InvalidUvError(f"({u}, {v}) lies outside the unit disc and is not a direction")
+            raise InvalidUvError(f"trajectory row {outside[0]} ({u}, {v}) is not a point of the unit disc")
         uv.setflags(write=False)
         object.__setattr__(self, "uv", uv)
 

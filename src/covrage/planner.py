@@ -161,6 +161,29 @@ def last_covering(trajectory: Trajectory, half_width: float) -> int:
     return int(np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= _radius2(half_width))[-1])
 
 
+def _all_within(x: float, y: float, points: list[tuple[float, float]], h2: float) -> bool:
+    """Whether every point lies in the closed disc of squared radius h2 around (x, y).
+
+    The cover walk's fallback scan of its pending samples.
+    """
+    for px, py in points:
+        dx = x - px
+        dy = y - py
+        if not dx * dx + dy * dy <= h2:
+            return False
+    return True
+
+
+def _any_within(x: float, y: float, points: Sequence[Sequence[float]], h2: float) -> bool:
+    """Whether some point lies in the closed disc of squared radius h2 around (x, y)."""
+    for px, py in points:
+        dx = x - px
+        dy = y - py
+        if dx * dx + dy * dy <= h2:
+            return True
+    return False
+
+
 def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bool = False) -> CoverResult:
     """Place beam centers so every trajectory sample lies within half_width of one.
 
@@ -171,6 +194,14 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
     both the pending uncovered samples and an overlap anchor: the most recent
     sample covered by the previous beam. Each recorded overlap point is
     therefore inside both adjacent beams' discs.
+
+    The pending test is linear per candidate at worst and usually constant: a
+    candidate whose farthest corner of the pending samples' bounding box lies
+    in its disc covers them all, and only a candidate that fails this test
+    scans the samples one by one. The accept is exact, not an approximation:
+    rounding to nearest is monotone and fl(b - a) = -fl(a - b), so no pending
+    sample's rounded squared distance exceeds the corner's, given the finite
+    coordinates a Trajectory holds (see the comment at the test).
 
     If the candidate walk runs off the end of the samples, the path is
     extended by repeating the final step vector, so the last beam can land
@@ -184,62 +215,90 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
         raise ValueError("half_width must be positive")
     h2 = _radius2(half_width)
 
-    def near(a: Sequence[float], b: Sequence[float]) -> bool:
-        dx = a[0] - b[0]
-        dy = a[1] - b[1]
-        return dx * dx + dy * dy <= h2
-
     for k in range(1, n):
         dx = pts[k][0] - pts[k - 1][0]
         dy = pts[k][1] - pts[k - 1][1]
         if dx * dx + dy * dy >= half_width * half_width:
             raise ValueError(f"sample spacing at index {k} is not below the coverage half-width")
 
-    def extended(j: int) -> Sequence[float] | None:
-        """Sample j >= n of the path extended by its final step; None where the extension stops."""
-        k = j - n + 1
-        step_x = pts[-1][0] - pts[-2][0]
-        step_y = pts[-1][1] - pts[-2][1]
-        if k > EXTRAPOLATION_CAP_FACTOR * n or step_x * step_x + step_y * step_y <= 1e-30:
-            return None
-        x = pts[-1][0] + k * step_x
-        y = pts[-1][1] + k * step_y
-        return (x, y) if x * x + y * y <= 1.0 + COVERAGE_SLACK else None
+    # Extension sample k = 1, 2, ... is the last sample plus k final steps; a
+    # zero step extends nothing.
+    lx, ly = pts[-1]
+    sx, sy = (lx - pts[-2][0], ly - pts[-2][1]) if n > 1 else (0.0, 0.0)
+    reach = EXTRAPOLATION_CAP_FACTOR * n if sx * sx + sy * sy > 1e-30 else 0
 
     centers = [pts[last_covering(trajectory, half_width) if delayed_first else 0]]
     overlaps: list[Sequence[float]] = []
     extrapolated = False
 
-    anchor = pts[0]
+    ax, ay = pts[0]
     i = 1
     while i < n:
-        p = pts[i]
-        if near(p, centers[-1]):
-            anchor = p
+        px, py = pts[i]
+        cx, cy = centers[-1]
+        dx = px - cx
+        dy = py - cy
+        if dx * dx + dy * dy <= h2:
+            ax, ay = px, py
             i += 1
             continue
-        if any(near(p, c) for c in centers[:-1]):
+        if _any_within(px, py, centers[:-1], h2):
             i += 1
             continue
-        if not near(p, anchor):
+        dx = px - ax
+        dy = py - ay
+        if not dx * dx + dy * dy <= h2:
             # The anchor went stale behind an older beam; the immediate
             # predecessor is always covered and always within spacing of p.
-            anchor = pts[i - 1]
-        pending = [p]
-        lock = p
+            ax, ay = pts[i - 1]
+        pending = [(px, py)]
+        bx0 = bx1 = lock_x = px
+        by0 = by1 = lock_y = py
         j = i + 1
         while True:
-            cand = pts[j] if j < n else extended(j)
-            if cand is None or not near(cand, anchor) or not all(near(cand, q) for q in pending):
+            if j < n:
+                x, y = pts[j]
+            else:
+                k = j - n + 1
+                x = lx + k * sx
+                y = ly + k * sy
+                if k > reach or not x * x + y * y <= 1.0 + COVERAGE_SLACK:
+                    break
+            dx = x - ax
+            dy = y - ay
+            if not dx * dx + dy * dy <= h2:
                 break
-            lock = cand
-            if j < n and not any(near(cand, c) for c in centers):
-                pending.append(cand)
+            # Box accept: the pending samples lie in [bx0, bx1] x [by0, by1], and
+            # (ex, ey) reaches the box corner farthest from (x, y). Rounding to
+            # nearest is monotone and fl(b - a) = -fl(a - b), so for finite
+            # coordinates every pending (px, py) has |fl(x - px)| <= ex and
+            # |fl(y - py)| <= ey; squaring and adding keep that order, so no
+            # pending sample's rounded squared distance exceeds the corner's.
+            # Passing here is passing the scan; failing it runs the scan.
+            ex = x - bx0
+            if ex < bx1 - x:
+                ex = bx1 - x
+            ey = y - by0
+            if ey < by1 - y:
+                ey = by1 - y
+            if not ex * ex + ey * ey <= h2 and not _all_within(x, y, pending, h2):
+                break
+            lock_x, lock_y = x, y
+            if j < n and not _any_within(x, y, centers, h2):
+                pending.append((x, y))
+                if x < bx0:
+                    bx0 = x
+                elif x > bx1:
+                    bx1 = x
+                if y < by0:
+                    by0 = y
+                elif y > by1:
+                    by1 = y
             j += 1
-        centers.append(lock)
-        overlaps.append(anchor)
+        centers.append((lock_x, lock_y))
+        overlaps.append((ax, ay))
         extrapolated = j > n
-        anchor = lock
+        ax, ay = lock_x, lock_y
         i = min(j, n)
     return CoverResult(
         tuple(UvPoint(c[0], c[1]) for c in centers),

@@ -521,6 +521,15 @@ def test_config_documents_finish_cleanly(tmp_path_factory, doc):
             json.loads(doc_path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {doc_path.name}"))
 
 
+def test_orientation_whose_squares_overflow_plans_like_its_unit_quaternion(tmp_path):
+    # [1e200, 0, 0, 0] is the identity rotation: golden a's start orientation.
+    cfg = write_config(tmp_path, dict(REF_A, orientation_start=[1e200, 0.0, 0.0, 0.0]))
+    out = tmp_path / "out"
+    assert run("plan", "--config", cfg, "--out-dir", out) == 0
+    golden = Path(__file__).parent / "golden" / "a" / "plan"
+    assert (out / "awv.csv").read_bytes() == (golden / "awv.csv").read_bytes()
+
+
 def test_overflowing_number_is_not_infinity(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text('{"link": {"eirp_dbm": 1e999}}')

@@ -1,5 +1,6 @@
 """Rotation and coordinate conversions checked against matrix oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -182,6 +183,21 @@ def test_quaternion_renormalizes_and_rejects_zero():
     assert q.x == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     with pytest.raises(ValueError):
         Quaternion(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1.4e154, 1e200, 1e308])
+def test_quaternion_with_overflowing_squares_normalises(scale):
+    # w*w overflows, so the norm is taken after dividing by the largest component.
+    q = Quaternion(scale, -0.5 * scale, 0.0, 0.25 * scale)
+    small = Quaternion(1.0, -0.5, 0.0, 0.25)
+    np.testing.assert_allclose(dataclasses.astuple(q), dataclasses.astuple(small), rtol=0, atol=1e-15)
+    assert Quaternion(scale, 0.0, 0.0, 0.0) == Quaternion.identity()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_quaternion_rejects_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Quaternion(1.0, bad, 0.0, 0.0)
 
 
 def test_quaternion_canonical_flips_sign():
@@ -452,6 +468,15 @@ def test_trajectory_container_protocol():
         Trajectory([0.1, 0.2, 0.3])
     with pytest.raises(InvalidUvError):
         Trajectory([[0.0, 0.0], [0.9, 0.9]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trajectory_rejects_non_finite_rows(bad):
+    # NaN fails every comparison, so the unit-disc test is written as "not inside".
+    with pytest.raises(InvalidUvError, match=r"row 1 \("):
+        Trajectory([[0.0, 0.0], [bad, 0.0], [0.01, 0.0]])
+    with pytest.raises(InvalidUvError, match="row 2"):
+        Trajectory([[0.0, 0.0], [0.01, 0.0], [0.02, bad]])
 
 
 def test_importing_geometry_loads_only_its_own_modules():

@@ -424,6 +424,108 @@ def test_cover_matches_reference_walk(inputs):
     assert cover_outcome(cover_points, *inputs) == cover_outcome(reference_cover_points, *inputs)
 
 
+def half_width_for_radius(r: float) -> float:
+    """The half-width whose closed disc has radius exactly r (r < 2), slack included."""
+    half = r - COVERAGE_SLACK
+    while half + COVERAGE_SLACK < r:
+        half = math.nextafter(half, math.inf)
+    while half + COVERAGE_SLACK > r:
+        half = math.nextafter(half, -math.inf)
+    assert planner._radius2(half) == r * r
+    return half
+
+
+@st.composite
+def long_cover_inputs(draw):
+    """A walk of up to 400 short steps, so pending sets grow past what cover_inputs reaches.
+
+    A snapped walk sits on a lattice of an eighth of a dyadic disc radius, on
+    which every coordinate difference and square is exact: eight lattice steps
+    along an axis are exactly the radius, so box corners fall on the rim.
+    """
+    snap = draw(st.booleans())
+    half = draw(st.floats(0.005, 0.3))
+    if snap:
+        radius = max(round(half * 1024), 5) / 1024
+        half = half_width_for_radius(radius)
+    n = 401 - draw(st.integers(1, 400))  # counted down: the simplest draw is the longest walk
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = half * draw(st.floats(0.03, 0.4))
+    wobble = draw(st.floats(0.0, 1.0))
+    turn = draw(st.floats(-0.5, 0.5))
+    heading = draw(st.floats(0.0, 2.0 * math.pi)) + np.cumsum(turn + rng.normal(0.0, wobble, n))
+    steps = step * np.column_stack([np.cos(heading), np.sin(heading)])
+    xy = rng.uniform(-0.5, 0.5, 2) + np.cumsum(steps, axis=0)
+    outside = np.flatnonzero(xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1] > 1.0)
+    xy = xy[: outside[0] if outside.size else n]  # a walk that leaves the disc stops there
+    if snap:
+        grid = radius / 8
+        xy = np.trunc(xy / grid) * grid  # toward zero, so no sample leaves the disc
+    return Trajectory(xy if len(xy) else [[0.0, 0.0]]), half, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(long_cover_inputs())
+def test_cover_matches_reference_on_long_walks(inputs):
+    assert cover_outcome(cover_points, *inputs) == cover_outcome(reference_cover_points, *inputs)
+
+
+def recorded_scans(monkeypatch) -> list[bool]:
+    """The results of the cover walk's fallback scans, in call order."""
+    results: list[bool] = []
+    scan = planner._all_within
+
+    def record(*args):
+        results.append(scan(*args))
+        return results[-1]
+
+    monkeypatch.setattr(planner, "_all_within", record)
+    return results
+
+
+G = 2.0**-8  # lattice step; the disc radius below is 8 * G, and all arithmetic on it is exact
+
+
+def test_cover_box_accepts_a_tie_on_the_rim_without_a_scan(monkeypatch):
+    # Out to 10 and back to 1 along u. The second beam's pending samples are
+    # 9, 10 and 9 again; candidate 2 is exactly the radius from 10, the box's
+    # far end, so the closed box test takes it. Candidate 1 fails the box and
+    # then the scan, which ends the walk.
+    traj = Trajectory([(k * G, 0.0) for k in [*range(11), *range(9, 0, -1)]])
+    half = half_width_for_radius(8 * G)
+    scans = recorded_scans(monkeypatch)
+    res = cover_points(traj, half)
+    assert res == reference_cover_points(traj, half)
+    assert [c.u / G for c in res.centers] == [0, 2]
+    assert scans == [False]
+
+
+def test_cover_scan_accepts_what_the_box_refuses(monkeypatch):
+    # An L of pending samples: along u from 9 to 12, up to (12, 4), back down
+    # and on to the lower right. At (14, -3) the box's far corner (9, 4) is no
+    # sample and lies outside the disc, while every sample is inside it: the
+    # scan must accept. (15, -4) is out of the anchor's disc.
+    rows = [(k, 0) for k in range(13)] + [(12, k) for k in [1, 2, 3, 4, 3, 2, 1, 0, -1]]
+    rows += [(13, -2), (14, -3), (15, -4)]
+    traj = Trajectory([(x * G, y * G) for x, y in rows])
+    half = half_width_for_radius(8 * G)
+    scans = recorded_scans(monkeypatch)
+    res = cover_points(traj, half)
+    assert res == reference_cover_points(traj, half)
+    assert (res.centers[1].u / G, res.centers[1].v / G) == (14, -3)
+    assert scans == [True]
+
+
+def test_cover_straight_line_scans_at_most_once_per_beam(monkeypatch):
+    # On a straight line the box corner farthest from a candidate is a sample,
+    # so the box decides every candidate the scan would pass.
+    traj = Trajectory([(-0.2 + 0.4 * k / 255, 0.1 - 0.25 * k / 255) for k in range(256)])
+    scans = recorded_scans(monkeypatch)
+    res = cover_points(traj, 0.02)
+    assert len(res.centers) > 5
+    assert len(scans) <= len(res.centers)
+
+
 # ---------------------------------------------------------------------------
 # phase_sync
 
