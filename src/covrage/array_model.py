@@ -168,8 +168,8 @@ class SubArrayLayout:
 
     @property
     def beam_width(self) -> float:
-        """Half-power width of one group's beam in sine space (doubles per split)."""
-        return beamwidth_uv(min(self.side_x, self.side_y), self.spacing_wl)
+        """Half-power width in sine space of a group's narrower axis beam, from its longer side; doubles per split."""
+        return beamwidth_uv(max(self.side_x, self.side_y), self.spacing_wl)
 
     @property
     def half_width(self) -> float:

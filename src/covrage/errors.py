@@ -12,7 +12,7 @@ class ConfigError(CovrageError):
 
 
 class InvalidUvError(CovrageError, ValueError):
-    """A sine-space coordinate pair lies outside the unit disc."""
+    """A sine-space coordinate pair is not a point of the unit disc."""
 
 
 class HemisphereError(CovrageError, ValueError):

@@ -106,10 +106,9 @@ class UvPoint:
     v: float
 
     def __post_init__(self) -> None:
-        if self.u * self.u + self.v * self.v > 1.0 + 1e-12:
-            raise InvalidUvError(
-                f"({self.u}, {self.v}) lies outside the unit disc and is not a direction"
-            )
+        # Written as "not inside" so that NaN is rejected too.
+        if not self.u * self.u + self.v * self.v <= 1.0 + 1e-12:
+            raise InvalidUvError(f"({self.u}, {self.v}) is not a point of the unit disc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +192,7 @@ def euler_to_uv(e: EulerAngles) -> UvPoint:
 
 def uv_to_euler(p: UvPoint) -> EulerAngles:
     """Recover yaw and pitch from sine space (roll is zero by construction)."""
-    r2 = p.u * p.u + p.v * p.v
-    if r2 > 1.0 + 1e-12:
-        raise InvalidUvError(f"({p.u}, {p.v}) lies outside the unit disc")
-    w = math.sqrt(max(0.0, 1.0 - r2))
+    w = math.sqrt(max(0.0, 1.0 - p.u * p.u - p.v * p.v))
     return EulerAngles(math.atan2(p.u, w), math.asin(min(1.0, max(-1.0, p.v))))
 
 

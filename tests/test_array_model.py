@@ -394,8 +394,9 @@ def test_layout_index_arrays_match_enumeration_oracle(mi, depth, data):
     m, hx, hy = layout.stride, layout.side_x, layout.side_y
     origins = chained_origins(layout)
     assert layout.n_sub == len(origins)
-    # A split halves the sides, so it doubles the group's beam width.
-    base = beamwidth_uv(min(layout.config.nx, layout.config.ny) // m, layout.spacing_wl)
+    # The width is the narrower axis beam's, from the longer side; a split
+    # halves the sides, so it doubles the group's beam width.
+    base = beamwidth_uv(max(layout.config.nx, layout.config.ny) // m, layout.spacing_wl)
     assert layout.beam_width == pytest.approx(base * 2**depth, rel=1e-14)
     sub_index, local_x, local_y, origin_table = element_images(layout)
     np.testing.assert_array_equal(origin_table, origins)

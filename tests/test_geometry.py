@@ -338,6 +338,13 @@ def test_uv_point_rejects_outside_disc():
     UvPoint(1.0, 0.0)
 
 
+@pytest.mark.parametrize("u, v", [(math.nan, 0.0), (0.0, math.nan)])
+def test_uv_point_rejects_nan(u, v):
+    # NaN fails every comparison, so the unit-disc test is written as "not inside".
+    with pytest.raises(InvalidUvError, match="not a point of the unit disc"):
+        UvPoint(u, v)
+
+
 @given(st.floats(0.0, 0.999), st.floats(0.0, 2.0 * math.pi))
 def test_uv_round_trip(radius, angle):
     p = UvPoint(radius * math.cos(angle), radius * math.sin(angle))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +684,32 @@ def test_delayed_first_drop_on_reference_b():
         return float(10.0 * np.log10(np.abs(c[0]) ** 2))
 
     assert gain_at_start(normal.awv) - gain_at_start(delayed.awv) >= 5.0
+
+
+def test_plans_and_sweeps_on_threads_equal_serial_runs():
+    # The planner's docstring says plans for independent inputs can be computed
+    # concurrently, and array_model's that its read-only arrays can be shared
+    # across threads: four threads, switching often, plan, sweep and
+    # peak-search eight head turns on one shared config and link, bit for bit
+    # as one thread does.
+    cfg, link, ap = ArrayConfig(), LinkParams(), UvPoint(0.0, 0.0)
+
+    def run(turn):
+        awv, plan = covrage_plan(*turn, ap, cfg)
+        res = sweep_trajectory(awv, plan.trajectory, link, cfg.spacing_wavelengths)
+        arrays = (awv.weights, plan.trajectory.uv, res.gain_dbi, res.rx_power_dbm)
+        return [a.tobytes() for a in arrays], plan.beam_centers, plan.sync_shifts, res.mcs, res.peak_uv
+
+    turns = [random_head_rotation(seed, 0.3) for seed in range(8)]
+    serial = [run(turn) for turn in turns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, turns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_readme_library_example_runs():

@@ -274,6 +274,47 @@ def test_cover_random_arcs_every_sample_covered(seed):
             assert math.hypot(o.u - c.u, o.v - c.v) <= half + 1e-9
 
 
+def axis_pattern_db(n: int, spacing_wl: float, delta: np.ndarray) -> np.ndarray:
+    """One axis of a uniform n-element group's power pattern, delta off its aim, relative to its peak."""
+    x = np.pi * spacing_wl * delta
+    s = np.sin(x)
+    away = np.abs(s) > 1e-12
+    r = np.where(away, np.sin(n * x) / np.where(away, n * s, 1.0), 1.0)
+    return 10.0 * np.log10(np.maximum(r * r, 1e-30))
+
+
+# HALF_POWER_CONSTANT rounds a long group's half-power width, 0.8859, up to
+# 0.886, so a sample on the coverage rim along one axis reads down to -3.0112 dB
+# on its beam; a shorter group has a wider beam and reads higher.
+HALF_POWER_TOLERANCE_DB = 0.01
+
+
+@settings(max_examples=40)
+@given(
+    sides=st.lists(st.sampled_from(range(16, 65, 8)), min_size=2, max_size=2, unique=True),
+    interleave=st.sampled_from([4, 16]),
+    axis=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+        lambda a: math.hypot(*a) > 0.1
+    ),
+    angle=st.floats(0.05, 0.6),
+    ap=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+)
+def test_non_square_coverage_stays_inside_the_half_power_contour(sides, interleave, axis, angle, ap):
+    # A group's narrower axis beam comes from its longer side. A disc sized by
+    # the wider one leaves samples many nulls off their beam along the long axis.
+    cfg = ArrayConfig(*sides)
+    q2 = Quaternion.from_axis_angle(axis, angle)
+    traj = plan_trajectory(Quaternion.identity(), q2, UvPoint(*ap), cfg, interleave)
+    plan = plan_geometry(traj, cfg, interleave=interleave)
+    layout = plan.layout
+    delta = np.array([(c.u, c.v) for c in plan.beam_centers])[None, :, :] - traj.uv[:, None, :]
+    covering = (delta**2).sum(axis=2) <= (layout.half_width + COVERAGE_SLACK) ** 2
+    db = axis_pattern_db(layout.side_x, layout.spacing_wl, delta[..., 0])
+    db += axis_pattern_db(layout.side_y, layout.spacing_wl, delta[..., 1])
+    best = np.where(covering, db, -np.inf).max(axis=1)
+    assert best.min() >= 10.0 * math.log10(0.5) - HALF_POWER_TOLERANCE_DB
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the walk as it stood before it became one candidate loop over the
 # extended path, kept verbatim. Every input must give the same CoverResult or
