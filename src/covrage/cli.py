@@ -1,9 +1,11 @@
 """Command-line front end: scenario configs in, deterministic data files out.
 
 Configs are JSON; angles in configs are degrees, radians internally. Every
-output file starts with a schema-version line, a run manifest is written
-before any other output, and identical invocations produce byte-identical
-files (no timestamps, fixed float formatting).
+output file starts with a schema-version line. A command first computes
+everything it writes, then creates the output directory and writes the run
+manifest and its data files, so a config or model error leaves the directory
+as it was. Identical invocations produce byte-identical files (no
+timestamps, fixed float formatting).
 
 Exit codes: 0 success, 2 config errors (command-line mistakes, undecodable
 files and a config whose arrays do not fit in memory among them), 3
@@ -33,7 +35,6 @@ from .harness import (
     STRATEGIES,
     Scenario,
     build_beam,
-    check_gain_map_resolution,
     gain_map,
     iter_strategies,
     sweep_trajectory,
@@ -254,7 +255,7 @@ def _scenario_dict(sc: Scenario, mcs_path: str | None) -> dict:
 def _start_run(
     command: str, args: argparse.Namespace, sc: Scenario, mcs_path: str | None, extras: dict | None = None
 ) -> Path:
-    """Create the output directory and write its manifest, the run's first output; return the directory."""
+    """Create the output directory and write its manifest, once the run's outputs are computed; return it."""
     out = Path(args.out_dir or os.environ.get("COVRAGE_OUT_DIR") or "covrage-out")
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -276,10 +277,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     if sc.strategy != "covrage":
         raise ConfigError("the plan command requires the covrage strategy")
-    out = _start_run("plan", args, sc, mcs_path)
     built = build_beam(sc)
     plan = built.plan
     assert plan is not None
+    phases = built.awv.phases()
+    out = _start_run("plan", args, sc, mcs_path)
     layout = plan.layout
     print(f"beams: {plan.n_beams}")
     print(f"groups: {layout.n_sub} (interleave {layout.interleave_factor}, subdivisions {layout.subdivisions})")
@@ -293,7 +295,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for k, shift in enumerate(plan.sync_shifts):
         print(f"shift {k}: phase_rad={_fmt(np.angle(shift))}")
     print(f"extrapolated: {'yes' if plan.extrapolated else 'no'}")
-    phases = built.awv.phases()
     labels = _grid(*map(np.arange, phases.shape))
     write_table(out / "awv.csv", ["# covrage-awv-v1", "x,y,phase_rad"], [*labels, phases.ravel()])
     return 0
@@ -301,17 +302,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    out = _start_run("sweep", args, sc, mcs_path)
     built = build_beam(sc)
     res = sweep_trajectory(
         built.awv, built.trajectory, sc.link, sc.array.spacing_wavelengths, sc.mcs_table
     )
-    uv, mcs = built.trajectory.uv, res.mcs
-    header = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
-    write_table(out / "sweep.csv", header, [
-        np.arange(len(uv)), uv[:, 0], uv[:, 1], res.gain_dbi, res.noise_penalty_db, res.rx_power_dbm,
-        [e.index for e in mcs], [e.datarate_mbps for e in mcs],
-    ])
     summary = {
         "schema": "covrage-sweep-summary-v1",
         "strategy": sc.strategy,
@@ -327,6 +321,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "min_mcs_index": res.min_mcs_index,
         "min_datarate_mbps": res.min_datarate_mbps,
     }
+    out = _start_run("sweep", args, sc, mcs_path)
+    uv, mcs = built.trajectory.uv, res.mcs
+    header = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
+    write_table(out / "sweep.csv", header, [
+        np.arange(len(uv)), uv[:, 0], uv[:, 1], res.gain_dbi, res.noise_penalty_db, res.rx_power_dbm,
+        [e.index for e in mcs], [e.datarate_mbps for e in mcs],
+    ])
     _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(
         f"sweep: {len(built.trajectory)} samples, gain range {_fmt(res.gain_range_db)} dB, "
@@ -337,10 +338,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gainmap(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    check_gain_map_resolution(args.resolution)
-    out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
     built = build_beam(sc)
     grid = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
+    out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
     header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
     index, axis = np.arange(grid.resolution), grid.axis
     write_table(out / "gainmap.csv", header, [*_grid(index, index), *_grid(axis, axis), grid.gain_dbi.ravel()])
@@ -350,18 +350,18 @@ def cmd_gainmap(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
-    out = _start_run("compare", args, sc, mcs_path)
     stats = ("min_gain_dbi", "max_gain_dbi", "gain_range_db", "min_mcs_index", "min_datarate_mbps")
-    print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
     cells = []
     for strategy, ablation, beams, res in iter_strategies(sc):
-        lo, hi, span, mcs, rate = (getattr(res, s) for s in stats)
+        cells.append((strategy, ablation, beams, *(getattr(res, s) for s in stats)))
         del res  # free this variant's weights before the next one is built
+    out = _start_run("compare", args, sc, mcs_path)
+    print(f"{'strategy':<16}{'ablation':<15}{'beams':>5}{'min':>10}{'max':>10}{'range':>10}{'mcs':>5}{'rate':>10}")
+    for strategy, ablation, beams, lo, hi, span, mcs, rate in cells:
         print(
             f"{strategy:<16}{ablation or '-':<15}{beams:>5}"
             f"{lo:>10.3f}{hi:>10.3f}{span:>10.3f}{mcs:>5}{rate:>10.1f}"
         )
-        cells.append((strategy, ablation, beams, lo, hi, span, mcs, rate))
     header = ["# covrage-compare-v1", ",".join(("strategy", "ablation", "beam_count") + stats)]
     write_table(out / "compare.csv", header, list(zip(*cells)))
     return 0

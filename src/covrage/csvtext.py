@@ -2,6 +2,8 @@
 
 A cell is its bytes left-aligned in a fixed-width slot and padded with NUL,
 which no cell holds, so a block of rows is its matrix with the NULs removed.
+Only ``'%.10g'``'s fixed form (decimal exponent -4 to 9) is vectorised; its
+exponent form (``1.5e-05``) is rare in the data files and takes ``%``.
 ``cli.write_table`` imports this module on the first table it writes, so that
 importing the CLI neither compiles it nor builds its lookup tables.
 """
@@ -11,9 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-# Cells outside 10**-_EXP_LIMIT <= |x| < 10**_EXP_LIMIT take ``%``: the limit
-# keeps every scale 10**(9 - e) that the others need a normal float.
-_EXP_LIMIT = 290
 # Cells whose scaled value lies this close to a rounding tie take ``%``.
 _TIE_WINDOW = 1e-5
 # Float cells are 24 bytes, three words: '%.10g' needs at most 17.
@@ -33,22 +32,21 @@ def _span(start: int, stop: int) -> int:
     return (1 << 8 * stop) - (1 << 8 * start)
 
 
-def _layout(form: int | None, nd: int) -> list[int]:
+def _layout(form: int, nd: int) -> list[int]:
     """How a positive cell with ``nd`` significant digits is laid out in words.
 
-    ``form`` is the decimal exponent for the fixed form (-4 to 9) or None for
-    the exponent form. The ten digits sit in bytes 0-9 of two words. Those in
-    ``stay`` keep their place, those in ``move`` shift one byte up to make
-    room for the point, and the rest are trailing zeros to drop. Then the
-    prefix ("0.00" for small fixed numbers, with the point already placed) is
-    shifted in front. Returns ``stay``, ``move`` and the prefix as low and
-    high words, the prefix shift in bits and the text length before any
-    exponent suffix.
+    ``form`` is the decimal exponent, -4 to 9. The ten digits sit in bytes
+    0-9 of two words. Those in ``stay`` keep their place, those in ``move``
+    shift one byte up to make room for the point, and the rest are trailing
+    zeros to drop. Then the prefix ("0.00" for small numbers, with the point
+    already placed) is shifted in front. Returns ``stay``, ``move`` and the
+    prefix as low and high words, the prefix shift in bits and the text
+    length.
     """
-    if form is not None and form < 0:
+    if form < 0:
         shown, point, prefix = nd, None, "0." + "0" * (-form - 1)
     else:
-        whole = (form or 0) + 1
+        whole = form + 1
         shown, point, prefix = max(nd, whole), (whole if nd > whole else None), ""
     pre = _bytes_le(prefix)
     if point is None:
@@ -61,23 +59,17 @@ def _layout(form: int | None, nd: int) -> list[int]:
 
 
 class _Tables:
-    """Lookup tables of the float renderer; ``j`` indexes a decimal exponent e as j = 309 - e."""
+    """Lookup tables of the float renderer; ``j`` indexes a decimal exponent e as j = e + 5."""
 
     def __init__(self) -> None:
-        exps = 309 - np.arange(601)
+        exps = np.arange(-5, 11)
         n = np.arange(10**4, dtype=_U64)
         four = sum((48 + n // _U64(10 ** (3 - i)) % _U64(10)) << _U64(8 * i) for i in range(4))
-        forms = [*range(-4, 10), None]
         # By j: 10**(9 - e) correctly rounded, whether e takes the fixed form,
-        # the layout key of a positive cell with ten significant digits, and
-        # the exponent form's suffix "e+XX" as a word.
+        # and if so the layout key of a positive cell with ten significant digits.
         self.pow10 = np.array([float(f"1e{9 - e}") for e in exps.tolist()])
         self.fixed = (exps >= -4) & (exps < 10)
-        self.key = (np.where(self.fixed, exps + 4, 14) * 11 + 10) * 2
-        mag, sign = np.abs(exps), np.where(exps < 0, ord("-"), ord("+")).astype(_U64)
-        exp_digits = np.where(mag < 100, four[mag] >> _U64(16), four[mag] >> _U64(8))
-        self.suffix = _U64(ord("e")) | sign << _U64(8) | exp_digits << _U64(16)
-        self.suffix_len = np.where(mag < 100, 4, 5).astype(_U64)
+        self.key = (np.where(self.fixed, exps + 4, 0) * 11 + 10) * 2
         # By 0..9999: the last two digits as bytes 0-1 of a word, all four as
         # bytes 2-5, the first two as bytes 6-7, and twice the count of
         # trailing zero digits.
@@ -85,7 +77,7 @@ class _Tables:
         self.zeros2 = 2 * sum((n % _U64(10**k) == 0).astype(np.intp) for k in range(1, 5))
         # By key (form * 11 + nd) * 2 + neg: the columns of ``_layout``. A
         # negative cell is the positive one with one more prefix byte, "-".
-        pos = np.array([_layout(form, nd) for form in forms for nd in range(11)], dtype=_U64)
+        pos = np.array([_layout(form, nd) for form in range(-4, 10) for nd in range(11)], dtype=_U64)
         neg = pos.copy()
         neg[:, 5] = pos[:, 5] << _U64(8) | pos[:, 4] >> _U64(56)
         neg[:, 4] = pos[:, 4] << _U64(8) | _U64(ord("-"))
@@ -119,35 +111,34 @@ def _render_floats(x: np.ndarray, cells: np.ndarray, length: np.ndarray) -> None
     power of ten, so it carries two roundings of half an ulp each: its error
     is at most 10**10 * 2**-53 + 2**-20 < 2.1e-6, as M < 2**34. A cell whose M
     lies within ``_TIE_WINDOW`` of a half-integer could round either way, so
-    it is formatted by ``%`` instead, as are subnormals, infinities and
-    cells beyond ``_EXP_LIMIT``. NaN and zeros have fixed texts.
+    it is formatted by ``%`` instead. So is every cell outside 1e-5 <= |x| <
+    1e10, where the fixed form cannot occur, or whose rounded exponent lies
+    outside -4 to 9. NaN and zeros have fixed texts.
     """
     t = _TABLES
     a = np.abs(x)
-    fast = a >= 10.0**-_EXP_LIMIT
-    fast &= a < 10.0**_EXP_LIMIT
+    fast = a >= 1e-5
+    fast &= a < 1e10
     a[~fast] = 1.0
     e = np.log10(a)
     np.floor(e, out=e)
-    np.subtract(309, e, out=e)
+    e += 5
     j = e.astype(np.intp)
     m = t.pow10[j]
     m *= a
-    # log10 can floor to a neighbouring exponent next to a power of ten.
-    off = np.flatnonzero((m < 1e9) | (m >= 1e10))
-    if len(off):
-        j[off] += np.where(m[off] < 1e9, 1, -1)
-        m[off] = a[off] * t.pow10[j[off]]
-        bad = off[(m[off] < 1e9) | (m[off] >= 1e10)]
-        fast[bad] = False
-        m[bad] = 1e9
+    # log10 can floor to a neighbouring exponent next to a power of ten (at
+    # 1e-5, to j = -1, which reads the last scale): such a cell takes '%'.
+    bad = np.flatnonzero((m < 1e9) | (m >= 1e10))
+    fast[bad] = False
+    m[bad] = 1e9
     digits = np.rint(m)
     m -= digits
     fast &= np.abs(m, out=m) <= 0.5 - _TIE_WINDOW
     digits = digits.astype(np.int64)
     carry = np.flatnonzero(digits == 10**10)
     digits[carry] = 10**9
-    j[carry] -= 1
+    j[carry] += 1
+    fast &= t.fixed[j]
     # Ten digits as groups of 2, 4 and 4 fill bytes 0-1, 2-5 and 6-9 of two words.
     top = digits // 10**8
     digits -= top * 10**8
@@ -185,14 +176,6 @@ def _render_floats(x: np.ndarray, cells: np.ndarray, length: np.ndarray) -> None
     cells[:, 1] |= lo >> (_U64(64) - shift)
     cells[:, 1] |= pre_hi[key]
     np.take(length_of_key, key, out=length)
-    # The exponent form appends e+XX at the end of the text.
-    rows = np.flatnonzero(fast & ~t.fixed[j])
-    if len(rows):
-        at, suffix = length[rows], t.suffix[j[rows]]
-        length[rows] += t.suffix_len[j[rows]]
-        word, bits = (at >> _U64(3)).astype(np.intp), (at & _U64(7)) << _U64(3)
-        cells[rows, word] |= suffix << bits
-        cells[rows, word + 1] |= suffix >> (_U64(64) - bits)
     # NaN and zeros have fixed texts; the other slow cells take '%'.
     rows = np.flatnonzero(~fast)
     nan, zero = np.isnan(x[rows]), x[rows] == 0.0

@@ -285,14 +285,10 @@ class GainMap:
         return len(self.axis)
 
 
-def check_gain_map_resolution(resolution: int) -> None:
-    if resolution < 16:
-        raise ConfigError("gain map resolution must be at least 16")
-
-
 def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
     """Evaluate the pattern on a resolution-squared grid, indexed [u, v]."""
-    check_gain_map_resolution(resolution)
+    if resolution < 16:
+        raise ConfigError("gain map resolution must be at least 16")
     axis = np.linspace(-1.0, 1.0, resolution)
     gain = floored_gain_dbi(np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2)
     gain[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = np.nan

@@ -19,6 +19,7 @@ from covrage.array_model import (
     coefficient_grid,
     coefficient_points,
     compose_full_awv,
+    floored_gain_dbi,
     origin_phase_correction,
     partition_interleaved,
     partition_localized,
@@ -195,6 +196,11 @@ def test_gain_floor_at_pattern_null():
     grid = gain_map(awv, 17, 0.5)
     assert (grid.axis[9], grid.axis[8]) == (0.125, 0.0)
     assert grid.gain_dbi[9, 8] == GAIN_FLOOR_DBI
+
+
+def test_gain_floor_is_the_documented_minus_40_dbi():
+    # A zero power and a vanishing one both read the README's floor.
+    assert floored_gain_dbi(np.array([0.0, 1e-30])).tolist() == [-40.0, -40.0]
 
 
 @settings(max_examples=30)

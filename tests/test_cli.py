@@ -237,6 +237,8 @@ def test_float_text_matches_percent_on_bit_patterns(values):
 FORMAT_TABLE = [
     1234567890.5, 1234567891.5, 12345678905.0, 9999999999.5, 99999999995.0,
     9.9999999995e-5, 1e-4, 1e10, 5e-324,
+    # The vectorised path's gate, 1e-5 <= |x| < 1e10, and a carry across its top.
+    math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), 9.99999999995e9, math.nextafter(1e10, 0.0),
     *(float(f"1e{p}") for p in range(-300, 301)),
     # Decimal ties: the nearest double lies within about 1e-6 of M's half-integer.
     *(float(f"{d}.2345678905e{p}") for d in (1, 9) for p in range(-280, 281, 7)),
@@ -501,22 +503,33 @@ CONFIG_DOCS = st.fixed_dictionaries(
 
 @settings(max_examples=40, deadline=None)
 @given(CONFIG_DOCS)
+# A path that leaves the front hemisphere: a model error found only by the planner.
+@example({"array": {"nx": 8, "ny": 8}, "orientation_end_euler_deg": [143.0, 0.0, 0.0],
+          "ap_direction_deg": [0.0, 0.0], "n_samples": None})
 def test_config_documents_finish_cleanly(tmp_path_factory, doc):
-    # Every config ends in finite outputs (exit 0) or in one error line (exit 2 or 3).
+    # Every config ends in finite outputs (exit 0) or in one error line (exit 2
+    # or 3). All four commands write into one directory, which an error leaves
+    # byte for byte as it was.
     tmp = tmp_path_factory.mktemp("doc")
     cfg = write_config(tmp, doc)
-    for command in ("sweep", "compare"):
-        out = tmp / command
+    out = tmp / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("an earlier run\n")
+    for command, *flags in (("plan",), ("sweep",), ("compare",), ("gainmap", "--resolution", 32)):
+        before = read_all(out)
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = run(command, "--config", cfg, "--out-dir", out)
+            code = run(command, "--config", cfg, "--out-dir", out, *flags)
         if code:
             assert code in (2, 3)
             assert err.getvalue().count("\n") == 1
+            assert read_all(out) == before, command
             continue
         for table in out.glob("*.csv"):
             rows = table.read_text().splitlines()[2:]
             cells = {c.lower() for row in rows for c in row.split(",")}
-            assert not cells & {"out", "inf", "-inf", "nan"}, table.name
+            # The gain map marks its cells outside the unit disc "out".
+            undefined = {"inf", "-inf", "nan"} | ({"out"} if table.name != "gainmap.csv" else set())
+            assert not cells & undefined, table.name
         for doc_path in out.glob("*.json"):
             json.loads(doc_path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {doc_path.name}"))
 
@@ -631,9 +644,8 @@ def test_hemisphere_exit_is_model_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("model error:")
     assert "hemisphere" in err
-    # The manifest is written before any model work; outputs are not.
-    assert (out / "manifest.json").exists()
-    assert not (out / "sweep.csv").exists()
+    # The manifest follows the model work, so a model error writes nothing.
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("loss", [{}, {"reference_loss_db": 68.0}, {"reference_loss_db": 75.0}])
@@ -665,8 +677,8 @@ def test_automatic_sample_count_past_the_ceiling_exits_two(tmp_path, capsys, spa
     err = capsys.readouterr().err
     assert err.startswith(f"config error: the path needs more than {MAX_TRAJECTORY_SAMPLES} samples")
     assert err.count("\n") == 1
-    # Planning follows the manifest, so the manifest is all that is written.
-    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    # The manifest follows planning, so nothing is written.
+    assert not out.exists()
 
 
 def test_custom_mcs_table(tmp_path):

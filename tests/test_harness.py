@@ -433,6 +433,14 @@ def test_random_head_rotation_hits_target_length():
         assert abs(length - target) <= 0.05 * target
 
 
+def test_random_head_rotation_keeps_the_length_within_half_a_percent():
+    # Seed 1 draws an axis whose path leaves the front hemisphere at a length of
+    # 1.177, 1.9% short of the target: it is rejected, and a later axis reaches 1.2.
+    q1, q2 = random_head_rotation(1, 1.2)
+    length = trajectory_length(sample_trajectory(q1, q2, UvPoint(0.0, 0.0), 64))
+    assert length == pytest.approx(1.2, rel=0.005)
+
+
 def test_random_head_rotation_rejects_bad_targets():
     with pytest.raises(ValueError):
         random_head_rotation(0, -0.1)

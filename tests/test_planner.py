@@ -197,6 +197,24 @@ def test_last_covering_is_the_last_sample_in_the_closed_disc():
     assert planner.last_covering(traj, 1e300) == 5
 
 
+def test_coverage_slack_absorbs_rounding_only():
+    # A sample 1e-10 past the disc's rim is outside it: the slack absorbs rounding only.
+    h = 0.05
+    assert planner.last_covering(Trajectory([[0.0, 0.0], [h + 1e-10, 0.0]]), h) == 0
+
+
+def test_tail_extension_stops_at_four_times_the_sample_count():
+    # The beam after the first locks where the extended path leaves its anchor's
+    # disc, about 0.4h past the last sample; the final step is 0.001h, so the cap of
+    # 4 * 4 = 16 steps comes first.
+    h = 0.05
+    u = [0.0, 0.9 * h, 1.5 * h, 1.5 * h + 0.001 * h]
+    res = cover_points(Trajectory([[x, 0.0] for x in u]), h)
+    assert res.extrapolated
+    assert len(res.centers) == 2
+    assert (res.centers[-1].u - u[-1]) / (u[-1] - u[-2]) == pytest.approx(16.0, abs=1e-6)
+
+
 def test_cover_delayed_first_matches_index_oracle():
     n, r = 101, 9
     step = 0.3 / (n - 1)
@@ -609,6 +627,16 @@ def test_phase_sync_skips_pattern_null():
     shifts, skipped = phase_sync(beams, [UvPoint(0.125, 0.0)], layout)
     assert skipped == (0,)
     assert shifts == (1.0 + 0.0j, 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("eps,skipped", [(1e-9, ()), (1e-13, (0,))])
+def test_phase_sync_floor_is_a_rounding_level_magnitude(eps, skipped):
+    # Two elements half a turn plus eps apart have a coefficient of magnitude
+    # about eps at broadside: a phase is read down to 1e-12, not below it.
+    layout = partition_interleaved(ArrayConfig(nx=2, ny=1), 1)
+    ones = array_model.Awv(np.ones((2, 1)))
+    near_null = array_model.Awv(np.array([[1.0], [cmath.exp(1j * (math.pi + eps))]]))
+    assert phase_sync([ones, near_null], [UvPoint(0.0, 0.0)], layout)[1] == skipped
 
 
 def test_phase_sync_overlap_count_validation():
