@@ -8,9 +8,10 @@ summing weight times offset over the aperture gives the receive coefficient,
 and ``10 log10 |C|^2`` the gain in dBi.
 
 The offset is written in two forms. At one point it is the conjugate of the
-steering weights toward that point; ``array_coefficient`` sums weights times
-the conjugate of a steering its caller passes, so one steering serves several
-weight vectors. On many points it separates into per-axis phasors,
+steering weights toward that point; ``steering_stack`` steers many points in
+one pass, and ``array_coefficient`` sums weights times the conjugate of the
+steerings its caller passes, grid by grid over stacks, so one steering serves
+several weight vectors. On many points it separates into per-axis phasors,
 ``exp(-2j pi d x u)`` and in y, which ``path_phasors`` and ``coefficient_grid``
 contract with the weights. Where bits must not move, an operand of numpy's
 vectorised complex multiply is bound to a name: an unnamed temporary is
@@ -29,7 +30,8 @@ shared across threads freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -131,35 +133,29 @@ class SubArrayLayout:
     config: ArrayConfig
     interleave_factor: int
     subdivisions: int
+    stride: int = field(init=False, repr=False)
+    side_x: int = field(init=False, repr=False)
+    side_y: int = field(init=False, repr=False)
+    n_sub: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mi, nx, ny = self.interleave_factor, self.config.nx, self.config.ny
         if mi < 1:
             raise ConfigError(f"interleave factor {mi} must be positive")
-        m = self.stride
+        m = math.isqrt(mi)
         if m * m != mi:
             raise ConfigError(f"interleave factor {mi} is not a perfect square")
         if nx % m or ny % m:
             raise ConfigError(f"array {nx}x{ny} does not divide into {m}x{m} interleaves")
-        for depth in range(self.subdivisions):
+        d = self.subdivisions
+        for depth in range(d):
             if nx // (m << depth) % 2 or ny // (m << depth) % 2:
                 raise ConfigError(f"groups of {nx // (m << depth)}x{ny // (m << depth)} cannot be halved")
-
-    @property
-    def stride(self) -> int:
-        return math.isqrt(self.interleave_factor)
-
-    @property
-    def side_x(self) -> int:
-        return self.config.nx // (self.stride << self.subdivisions)
-
-    @property
-    def side_y(self) -> int:
-        return self.config.ny // (self.stride << self.subdivisions)
-
-    @property
-    def n_sub(self) -> int:
-        return self.interleave_factor << (2 * self.subdivisions)
+        # Computed once: a plan reads these per group.
+        object.__setattr__(self, "stride", m)
+        object.__setattr__(self, "side_x", nx // (m << d))
+        object.__setattr__(self, "side_y", ny // (m << d))
+        object.__setattr__(self, "n_sub", mi << (2 * d))
 
     @property
     def spacing_wl(self) -> float:
@@ -219,29 +215,45 @@ def partition_localized(layout: SubArrayLayout) -> SubArrayLayout:
     return SubArrayLayout(layout.config, layout.interleave_factor, layout.subdivisions + 1)
 
 
-def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoint) -> Awv:
-    """Weights that cancel each element's phase offset toward ``direction``.
+def steering_stack(shape: tuple[int, int], spacing_wl: float, points: Sequence[UvPoint]) -> np.ndarray:
+    """Steering weights toward each of ``points``, one writable grid each: ``[b, x, y]``.
 
-    Coordinates are local to the addressed (sub-)array; pass its effective pitch.
+    Weights cancel each element's phase offset toward the point. Coordinates
+    are local to the addressed (sub-)array; pass its effective pitch.
     """
     nx, ny = shape
-    arg = 2.0 * np.pi * spacing_wl * (
-        np.arange(nx)[:, None] * direction.u + np.arange(ny)[None, :] * direction.v
-    )
-    # cos and sin go straight into one complex grid, with no temporaries.
-    # Adding 0.0 turns a -0.0 sine into +0.0, as cos(arg) + 1j*sin(arg) does.
-    w = np.empty((nx, ny), dtype=complex)
+    uv = np.array([(p.u, p.v) for p in points], dtype=float).reshape(-1, 2, 1, 1)
+    # The phases are formed in the imaginary half of the output, so the stack
+    # is the one large allocation. Adding 0.0 turns a -0.0 sine into +0.0, as
+    # cos(arg) + 1j*sin(arg) does.
+    w = np.empty((len(uv), nx, ny), dtype=complex)
+    arg = w.imag
+    np.add(np.arange(nx)[:, None] * uv[:, 0], np.arange(ny)[None, :] * uv[:, 1], out=arg)
+    arg *= 2.0 * np.pi * spacing_wl
     np.cos(arg, out=w.real)
-    np.sin(arg, out=w.imag)
+    np.sin(arg, out=arg)
     w.imag += 0.0
-    return Awv._trusted(w)
+    return w
 
 
-def array_coefficient(awv: Awv, toward: Awv) -> complex:
-    """Receive coefficient toward a point, given the steering weights at it (same shape as ``awv``)."""
-    # Named: numpy multiplies into an unnamed temporary in place, which rounds differently.
-    offset = np.conj(toward.weights)
-    return complex((awv.weights * offset).sum())
+def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoint) -> Awv:
+    """``steering_stack`` at one direction, as an Awv."""
+    return Awv._trusted(steering_stack(shape, spacing_wl, (direction,))[0])
+
+
+def array_coefficient(awv, toward):
+    """Receive coefficients toward points, given the steering weights at them.
+
+    Each argument is an Awv or a stack of grids ``[b, x, y]``, and grid b of
+    ``awv`` meets grid b of ``toward``: two stacks give one coefficient per grid,
+    two Awvs one complex. Each grid's sum is the pairwise sum of its ``.sum()``.
+    """
+    w = awv.weights if isinstance(awv, Awv) else awv
+    offset = np.conj(toward.weights if isinstance(toward, Awv) else toward)
+    # In place with the weights still the left operand: the bits of a fresh product.
+    np.multiply(w, offset, out=offset)
+    sums = offset.reshape(-1, w.shape[-2] * w.shape[-1]).sum(axis=1)
+    return complex(sums[0]) if w.ndim == 2 else sums
 
 
 def beamwidth_uv(n_side: int, spacing_wl: float) -> float:
@@ -277,20 +289,23 @@ def origin_phase_correction(layout: SubArrayLayout, k: int, direction: UvPoint) 
     return complex(math.cos(arg), math.sin(arg))
 
 
-def compose_full_awv(sub_awvs, shifts, layout: SubArrayLayout) -> Awv:
-    """Assemble the full weight vector from per-group weights and unit shifts.
+def compose_full_awv(beams: np.ndarray, beam_of, shifts, layout: SubArrayLayout) -> Awv:
+    """Assemble the full weight vector from a stack of beam weights and per-group unit shifts.
 
-    Element (x, y) receives ``shifts[k] * sub_awvs[k][local coords]`` where k is
+    ``beams[b]`` holds beam b's group-local weights, unit-magnitude as
+    ``steering_stack`` makes them; group k takes beam ``beam_of[k]``. Element
+    (x, y) receives ``shifts[k] * beams[beam_of[k]][local coords]`` where k is
     its owning group. Shift magnitudes must be 1: analog weights cannot scale.
     """
-    if len(sub_awvs) != layout.n_sub or len(shifts) != layout.n_sub:
-        raise ValueError(f"layout has {layout.n_sub} groups; got {len(sub_awvs)} weight sets and {len(shifts)} shifts")
+    if len(beam_of) != layout.n_sub or len(shifts) != layout.n_sub:
+        raise ValueError(f"layout has {layout.n_sub} groups; got {len(beam_of)} beam indices and {len(shifts)} shifts")
     shifts = np.asarray(shifts, dtype=complex)
-    if not np.allclose(np.abs(shifts), 1.0, atol=1e-9, rtol=0.0):
+    # Written as "not within" so that NaN and infinite shifts are rejected too.
+    if not (np.abs(np.abs(shifts) - 1.0) <= 1e-9).all():
         raise ValueError("group-level shifts must be unit phasors")
-    stacked = np.stack([awv.weights for awv in sub_awvs])
-    if stacked.shape[1:] != (layout.side_x, layout.side_y):
-        raise ValueError(f"group weights must be {layout.side_x}x{layout.side_y}; got {stacked.shape[1]}x{stacked.shape[2]}")
+    if beams.shape[1:] != (layout.side_x, layout.side_y):
+        raise ValueError(f"group weights must be {layout.side_x}x{layout.side_y}; got {beams.shape[1]}x{beams.shape[2]}")
+    stacked = beams[np.asarray(beam_of, dtype=np.intp)]
     # The shift stays the left operand: numpy's vectorised complex multiply
     # can round differently when its operands swap.
     np.multiply(shifts[:, None, None], stacked, out=stacked)

@@ -226,17 +226,21 @@ def sample_trajectory(q1: Quaternion, q2: Quaternion, ap_dir: UvPoint, n: int) -
         return Trajectory(np.tile([ap_dir.u, ap_dir.v], (n, 1)))
     d0 = uv_to_direction(ap_dir)
     beta = np.linspace(0.0, 1.0, n) * angle
-    cb = np.cos(beta)[:, None]
-    sb = np.sin(beta)[:, None]
-    kxd = np.cross(axis, d0)
+    cb = np.cos(beta)
+    sb = np.sin(beta)
+    # Rodrigues' rotation, one component at a time: d0 cos + (k x d0) sin + k (k.d0)(1 - cos).
     kdd = float(np.dot(axis, d0))
-    dirs = d0 * cb + kxd * sb + axis * (kdd * (1.0 - cb))
-    bad = np.nonzero(dirs[:, 2] < -1e-9)[0]
+    fade = kdd * (1.0 - cb)
+    (ax, ay, az), (dx, dy, dz) = axis.tolist(), d0.tolist()
+    x = dx * cb + (ay * dz - az * dy) * sb + ax * fade
+    y = dy * cb + (az * dx - ax * dz) * sb + ay * fade
+    z = dz * cb + (ax * dy - ay * dx) * sb + az * fade
+    bad = np.nonzero(z < -1e-9)[0]
     if bad.size:
         raise HemisphereError(
             f"trajectory sample {int(bad[0])} of {n} leaves the front hemisphere"
         )
-    return Trajectory(np.column_stack([dirs[:, 1], -dirs[:, 0]]))
+    return Trajectory(np.column_stack([y, -x]))
 
 
 def trajectory_length(t: Trajectory) -> float:

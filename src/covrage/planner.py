@@ -9,6 +9,9 @@ with one steering per overlap point, and composes the per-group weights into
 one full-array weight vector. plan_geometry (up to the assignment) depends only
 on the path and gives a BeamPlan with no weights; synthesize_plan steers, syncs
 and composes, so plans that differ only in their shifts share one BeamPlan.
+Each of those three steps is one array pass over all beams: the beam centres
+are steered as one stack ``[beam, x, y]``, the overlap points as a second stack
+that lives only for the sync, and composition indexes the first stack per group.
 
 Phase alignment compares group coefficients in group-local coordinates; the
 physical origin offset of each group is cancelled separately by a per-group
@@ -36,7 +39,7 @@ from .array_model import (
     origin_phase_correction,
     partition_interleaved,
     partition_localized,
-    steering_weights,
+    steering_stack,
 )
 from .errors import ConfigError
 from .geometry import (
@@ -209,17 +212,15 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
     the unit disc, or EXTRAPOLATION_CAP_FACTOR times the sample count,
     whichever comes first.
     """
-    pts = trajectory.uv.tolist()
-    n = len(pts)
     if half_width <= 0.0:
         raise ValueError("half_width must be positive")
     h2 = _radius2(half_width)
-
-    for k in range(1, n):
-        dx = pts[k][0] - pts[k - 1][0]
-        dy = pts[k][1] - pts[k - 1][1]
-        if dx * dx + dy * dy >= half_width * half_width:
-            raise ValueError(f"sample spacing at index {k} is not below the coverage half-width")
+    step = np.diff(trajectory.uv, axis=0)
+    wide = np.flatnonzero(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] >= half_width * half_width)
+    if wide.size:
+        raise ValueError(f"sample spacing at index {wide[0] + 1} is not below the coverage half-width")
+    pts = trajectory.uv.tolist()
+    n = len(pts)
 
     # Extension sample k = 1, 2, ... is the last sample plus k final steps; a
     # zero step extends nothing.
@@ -308,30 +309,35 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
 
 
 def phase_sync(
-    awvs: Sequence[Awv],
+    beams: np.ndarray,
     overlap_points: Sequence[UvPoint],
     layout: SubArrayLayout,
 ) -> tuple[tuple[complex, ...], tuple[int, ...]]:
     """Unit shifts aligning each beam's phase with its predecessor at the overlap.
 
-    ``awvs`` holds each beam's group-local weights, in beam order.
+    ``beams`` stacks each beam's group-local weights ``[b, x, y]``, in beam order.
 
     Coefficients are evaluated in group-local coordinates at the layout's
     effective pitch, so reinforced beams (several groups, identical local
-    weights) and single-group beams sync identically. Shifts accumulate down
-    the chain: beam k+1 is compared against the already-shifted beam k. The
-    first beam is never shifted. Pairs whose coefficient magnitude vanishes at
-    the overlap have no usable phase; they keep a unit shift and are reported
-    in the second return value.
+    weights) and single-group beams sync identically. The overlap points are
+    steered as one stack, which lives only for this call, and each side of
+    every overlap is one contraction: beams ``[:-1]`` and ``[1:]`` against that
+    stack. Shifts accumulate down the chain: beam k+1 is compared against the
+    already-shifted beam k. The first beam is never shifted. Pairs whose
+    coefficient magnitude vanishes at the overlap have no usable phase; they
+    keep a unit shift and are reported in the second return value.
     """
-    if len(overlap_points) != max(len(awvs) - 1, 0):
+    if len(overlap_points) != max(len(beams) - 1, 0):
         raise ValueError("expected exactly one overlap point between adjacent beams")
     shifts: list[complex] = [complex(1.0, 0.0)]
     skipped: list[int] = []
-    for k, overlap in enumerate(overlap_points):
-        toward = steering_weights(awvs[k].shape, layout.spacing_wl, overlap)
-        prev = shifts[k] * array_coefficient(awvs[k], toward)
-        nxt = array_coefficient(awvs[k + 1], toward)
+    if not overlap_points:
+        return tuple(shifts), ()
+    toward = steering_stack(beams.shape[1:], layout.spacing_wl, overlap_points)
+    before = array_coefficient(beams[:-1], toward).tolist()
+    after = array_coefficient(beams[1:], toward).tolist()
+    for k, (coefficient, nxt) in enumerate(zip(before, after)):
+        prev = shifts[k] * coefficient
         if abs(prev) < SYNC_MAGNITUDE_FLOOR or abs(nxt) < SYNC_MAGNITUDE_FLOOR:
             shifts.append(complex(1.0, 0.0))
             skipped.append(k)
@@ -417,23 +423,23 @@ def synthesize_plan(plan: BeamPlan, shifts: Sequence[complex] | None = None) -> 
     replaces the computed sync (compose_full_awv rejects one that is not unit).
     """
     layout = plan.layout
-    shape = (layout.side_x, layout.side_y)
-    awvs = [steering_weights(shape, layout.spacing_wl, center) for center in plan.beam_centers]
+    centers = plan.beam_centers
+    beams = steering_stack((layout.side_x, layout.side_y), layout.spacing_wl, centers)
     if shifts is not None:
         shifts = tuple(complex(v) for v in shifts)
-        if len(shifts) != len(awvs):
-            raise ValueError(f"expected {len(awvs)} shifts, got {len(shifts)}")
+        if len(shifts) != len(centers):
+            raise ValueError(f"expected {len(centers)} shifts, got {len(shifts)}")
         skipped: tuple[int, ...] = ()
     else:
-        shifts, skipped = phase_sync(awvs, plan.overlap_points, layout)
+        shifts, skipped = phase_sync(beams, plan.overlap_points, layout)
 
-    sub_awvs: list[Awv | None] = [None] * layout.n_sub
-    sub_shifts = np.zeros(layout.n_sub, dtype=complex)
-    for subs, center, weights, shift in zip(plan.assignment, plan.beam_centers, awvs, shifts):
+    beam_of = [0] * layout.n_sub
+    sub_shifts = [0j] * layout.n_sub  # an unassigned group fails compose's unit check
+    for b, (subs, center, shift) in enumerate(zip(plan.assignment, centers, shifts)):
         for sidx in subs:
-            sub_awvs[sidx] = weights
+            beam_of[sidx] = b
             sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, center)
-    awv = compose_full_awv(sub_awvs, sub_shifts, layout)
+    awv = compose_full_awv(beams, beam_of, sub_shifts, layout)
     return awv, replace(plan, sync_shifts=shifts, sync_skipped=skipped)
 
 

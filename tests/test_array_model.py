@@ -445,7 +445,7 @@ def test_compose_full_awv_scatter_oracle():
     layout = partition_interleaved(ArrayConfig(), 4)
     subs = [random_awv(rng, 16, 16) for _ in range(4)]
     shifts = np.exp(2j * np.pi * rng.uniform(size=4))
-    full = compose_full_awv(subs, shifts, layout)
+    full = compose_full_awv(np.stack([sub.weights for sub in subs]), range(4), shifts, layout)
     sub_index, local_x, local_y, _ = element_images(layout)
     for x in range(0, 32, 5):
         for y in range(0, 32, 7):
@@ -458,16 +458,16 @@ def test_compose_full_awv_validation():
     layout = partition_interleaved(ArrayConfig(), 4)
     sub = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ValueError):
-        compose_full_awv([sub] * 3, [1.0] * 3, layout)
+        compose_full_awv(sub.weights[None], [0] * 3, [1.0] * 3, layout)
     with pytest.raises(ValueError):
-        compose_full_awv([sub] * 4, [1.0, 1.0, 1.0, 0.5], layout)
+        compose_full_awv(sub.weights[None], [0] * 4, [1.0, 1.0, 1.0, 0.5], layout)
 
 
 def test_compose_full_awv_rejects_wrong_group_shape():
     layout = partition_interleaved(ArrayConfig(), 4)
     sub = steering_weights((17, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ValueError, match="16x16"):
-        compose_full_awv([sub] * 4, [1.0] * 4, layout)
+        compose_full_awv(sub.weights[None], [0] * 4, [1.0] * 4, layout)
 
 
 @LAYOUT_SHAPES
@@ -488,7 +488,7 @@ def test_compose_full_awv_equals_element_scatter(mi, depth, data, seed):
                 weight_at[ox + m * lx, oy + m * ly] = subs[k].weights[lx, ly]
     # One numpy multiply forms the products: numpy's vectorised complex
     # multiply may round differently from Python's scalar one.
-    full = compose_full_awv(subs, shifts, layout)
+    full = compose_full_awv(np.stack([sub.weights for sub in subs]), range(layout.n_sub), shifts, layout)
     assert np.array_equal(full.weights, shift_at * weight_at)
     assert not full.weights.flags.writeable
 
@@ -503,7 +503,7 @@ def test_origin_corrections_recover_full_aperture_steering():
         d = random_uv(rng, 0.8)
         sub = steering_weights((16, 16), layout.spacing_wl, d)
         shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
-        composed = compose_full_awv([sub] * 4, shifts, layout)
+        composed = compose_full_awv(sub.weights[None], [0] * 4, shifts, layout)
         want = steering_weights((32, 32), cfg.spacing_wavelengths, d)
         np.testing.assert_allclose(composed.weights, want.weights, atol=1e-12)
 
@@ -514,7 +514,7 @@ def test_reinforced_gain_equals_full_aperture():
     d = UvPoint(0.25, 0.1)
     sub = steering_weights((16, 16), layout.spacing_wl, d)
     shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
-    composed = compose_full_awv([sub] * 4, shifts, layout)
+    composed = compose_full_awv(sub.weights[None], [0] * 4, shifts, layout)
     c = coefficient_points(composed, 0.25, 0.1, cfg.spacing_wavelengths)[0]
     assert 20.0 * math.log10(abs(c)) == pytest.approx(20.0 * math.log10(1024.0), abs=1e-9)
 
@@ -527,7 +527,7 @@ def test_opposed_shifts_cancel_coefficients():
     sub = steering_weights((16, 16), layout.spacing_wl, d)
     base = [origin_phase_correction(layout, k, d) for k in range(4)]
     signs = [1.0, -1.0, -1.0, 1.0]
-    composed = compose_full_awv([sub] * 4, [s * b for s, b in zip(signs, base)], layout)
+    composed = compose_full_awv(sub.weights[None], [0] * 4, [s * b for s, b in zip(signs, base)], layout)
     c = array_coefficient(composed, steering_weights(composed.shape, cfg.spacing_wavelengths, d))
     assert abs(c) < 1e-6
 

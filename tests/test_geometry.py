@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from covrage.geometry import (
     Quaternion,
     Trajectory,
     UvPoint,
+    _axis_angle,
     apparent_ap_rotation,
     euler_to_quat,
     euler_to_uv,
@@ -445,6 +447,49 @@ def test_sample_trajectory_needs_two_samples():
     q = Quaternion.identity()
     with pytest.raises(ValueError):
         sample_trajectory(q, q, UvPoint(0.0, 0.0), 1)
+
+
+def reference_sample_trajectory(q1: Quaternion, q2: Quaternion, ap_dir: UvPoint, n: int) -> Trajectory:
+    """sample_trajectory as it was written with ``np.cross`` over (n, 3) direction rows.
+
+    ``sample_trajectory`` builds each direction component from scalars instead
+    and must give the same bits.
+    """
+    axis, angle = _axis_angle(apparent_ap_rotation(q1, q2))
+    if angle < 1e-9:
+        return Trajectory(np.tile([ap_dir.u, ap_dir.v], (n, 1)))
+    d0 = uv_to_direction(ap_dir)
+    beta = np.linspace(0.0, 1.0, n) * angle
+    cb = np.cos(beta)[:, None]
+    sb = np.sin(beta)[:, None]
+    kxd = np.cross(axis, d0)
+    kdd = float(np.dot(axis, d0))
+    dirs = d0 * cb + kxd * sb + axis * (kdd * (1.0 - cb))
+    bad = np.nonzero(dirs[:, 2] < -1e-9)[0]
+    if bad.size:
+        raise HemisphereError(f"trajectory sample {int(bad[0])} of {n} leaves the front hemisphere")
+    return Trajectory(np.column_stack([dirs[:, 1], -dirs[:, 0]]))
+
+
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: sum(c * c for c in q) > 0.01),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda a: sum(c * c for c in a) > 0.01),
+    st.floats(0.0, 3.0),
+    st.floats(-0.7, 0.7),
+    st.floats(-0.7, 0.7),
+    st.integers(2, 400),
+)
+def test_sample_trajectory_bit_equal_reference(q1, axis, angle, u, v, n):
+    q1 = Quaternion(*q1)
+    q2 = hamilton_product(Quaternion.from_axis_angle(axis, angle), q1)
+    ap = UvPoint(u, v)
+    try:
+        want = reference_sample_trajectory(q1, q2, ap, n)
+    except HemisphereError as e:
+        with pytest.raises(HemisphereError, match=re.escape(str(e))):
+            sample_trajectory(q1, q2, ap, n)
+        return
+    assert sample_trajectory(q1, q2, ap, n).uv.tobytes() == want.uv.tobytes()
 
 
 def test_trajectory_length_basics():

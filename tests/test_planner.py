@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +19,16 @@ from covrage.array_model import (
     origin_phase_correction,
     partition_interleaved,
     partition_localized,
+    steering_stack,
     steering_weights,
 )
 from covrage.errors import ConfigError
-from covrage.geometry import Quaternion, Trajectory, UvPoint, sample_trajectory
+from covrage.geometry import Quaternion, Trajectory, UvPoint, hamilton_product, sample_trajectory
 from covrage.planner import (
     COVERAGE_SLACK,
     EXTRAPOLATION_CAP_FACTOR,
     MAX_TRAJECTORY_SAMPLES,
+    SYNC_MAGNITUDE_FLOOR,
     BeamPlan,
     CoverResult,
     allocate_sub_arrays,
@@ -38,6 +41,7 @@ from covrage.planner import (
     synthesize_plan,
 )
 from test_array_model import element_images
+from test_geometry import reference_sample_trajectory
 
 W16 = beamwidth_uv(16, 0.5)  # 0.11075
 
@@ -596,7 +600,7 @@ def make_beam(center: UvPoint, layout):
 def test_phase_sync_identical_beams_unit_shift():
     layout = partition_interleaved(ArrayConfig(), 4)
     b = make_beam(UvPoint(0.2, 0.1), layout)
-    shifts, skipped = phase_sync([b, b], [UvPoint(0.2, 0.1)], layout)
+    shifts, skipped = phase_sync(np.stack([b.weights, b.weights]), [UvPoint(0.2, 0.1)], layout)
     assert shifts == (1.0 + 0.0j, 1.0 + 0.0j)
     assert skipped == ()
 
@@ -606,7 +610,7 @@ def test_phase_sync_aligns_phases_at_overlaps():
     centers = [UvPoint(0.0, 0.0), UvPoint(0.1108, 0.0), UvPoint(0.2216, 0.0)]
     overlaps = [UvPoint(0.0554, 0.0), UvPoint(0.1662, 0.0)]
     beams = [make_beam(c, layout) for c in centers]
-    shifts, skipped = phase_sync(beams, overlaps, layout)
+    shifts, skipped = phase_sync(np.stack([b.weights for b in beams]), overlaps, layout)
     assert skipped == ()
     assert shifts[0] == 1.0 + 0.0j
     for k, o in enumerate(overlaps):
@@ -624,7 +628,7 @@ def test_phase_sync_skips_pattern_null():
     layout = partition_interleaved(ArrayConfig(), 4)
     # Broadside 16x16 at 0.5 pitch has a null at u = 0.125: no usable phase.
     beams = [make_beam(UvPoint(0.0, 0.0), layout), make_beam(UvPoint(0.25, 0.0), layout)]
-    shifts, skipped = phase_sync(beams, [UvPoint(0.125, 0.0)], layout)
+    shifts, skipped = phase_sync(np.stack([b.weights for b in beams]), [UvPoint(0.125, 0.0)], layout)
     assert skipped == (0,)
     assert shifts == (1.0 + 0.0j, 1.0 + 0.0j)
 
@@ -636,14 +640,14 @@ def test_phase_sync_floor_is_a_rounding_level_magnitude(eps, skipped):
     layout = partition_interleaved(ArrayConfig(nx=2, ny=1), 1)
     ones = array_model.Awv(np.ones((2, 1)))
     near_null = array_model.Awv(np.array([[1.0], [cmath.exp(1j * (math.pi + eps))]]))
-    assert phase_sync([ones, near_null], [UvPoint(0.0, 0.0)], layout)[1] == skipped
+    assert phase_sync(np.stack([ones.weights, near_null.weights]), [UvPoint(0.0, 0.0)], layout)[1] == skipped
 
 
 def test_phase_sync_overlap_count_validation():
     layout = partition_interleaved(ArrayConfig(), 4)
     b = make_beam(UvPoint(0.0, 0.0), layout)
     with pytest.raises(ValueError):
-        phase_sync([b, b], [], layout)
+        phase_sync(np.stack([b.weights, b.weights]), [], layout)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +811,9 @@ def test_covrage_plan_sync_override_validation():
         covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0))
     with pytest.raises(ValueError, match="unit"):
         covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, 1.0, 1.0, 0.5))
-    with pytest.raises(ValueError, match="unit"):
-        covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, math.nan, 1.0, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="unit"):
+            covrage_plan(q1, q2, ap, ArrayConfig(), sync_override=lambda count: (1.0, bad, 1.0, 1.0))
 
 
 def test_covrage_plan_subdivides_long_trajectory():
@@ -873,35 +878,210 @@ def test_fixed_sample_count_past_the_ceiling_is_a_config_error(monkeypatch):
 # One plan record: plan_geometry decides, synthesize_plan makes the weights
 
 
-def counted_steering(monkeypatch) -> list[UvPoint]:
-    """The points steering_weights is called with, in planner or array_model, in call order."""
-    centers = []
+def counted_steering(monkeypatch) -> list[list[UvPoint]]:
+    """The points of each steering_stack call, in planner or array_model, in call order."""
+    calls = []
 
-    def counting(shape, spacing_wl, center):
-        centers.append(center)
-        return steering_weights(shape, spacing_wl, center)
+    def counting(shape, spacing_wl, points):
+        calls.append(list(points))
+        return steering_stack(shape, spacing_wl, points)
 
-    monkeypatch.setattr(planner, "steering_weights", counting)
-    monkeypatch.setattr(array_model, "steering_weights", counting)
-    return centers
+    monkeypatch.setattr(planner, "steering_stack", counting)
+    monkeypatch.setattr(array_model, "steering_stack", counting)
+    return calls
 
 
 @pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
 def test_only_synthesize_plan_steers(monkeypatch, no_sync):
-    centers = counted_steering(monkeypatch)
+    calls = counted_steering(monkeypatch)
     q1, q2, ap = collinear_pair(0.5)
     plan = plan_geometry(plan_trajectory(q1, q2, ap, ArrayConfig()), ArrayConfig())
-    assert centers == []
+    assert calls == []
     assert plan.sync_shifts == (complex(1.0, 0.0),) * plan.n_beams
     assert plan.sync_skipped == ()
     _, synced = synthesize_plan(plan, np.exp(1j * np.arange(plan.n_beams)) if no_sync else None)
     assert synced.beam_centers == plan.beam_centers
     if no_sync:
-        assert centers == list(plan.beam_centers)  # once per beam, in beam order
+        assert calls == [list(plan.beam_centers)]  # once per beam, in beam order, in one pass
     else:
-        # Then once per overlap, shared by the two beams that meet there: 2B - 1 in all.
-        assert centers == [*plan.beam_centers, *plan.overlap_points]
-        assert plan.n_beams > 1 and len(centers) == 2 * plan.n_beams - 1
+        # Then once per overlap, shared by the two beams that meet there, in a
+        # second pass: 2B - 1 points in all.
+        assert calls == [list(plan.beam_centers), list(plan.overlap_points)]
+        assert plan.n_beams > 1 and sum(map(len, calls)) == 2 * plan.n_beams - 1
+
+
+# ---------------------------------------------------------------------------
+# Batched synthesis against the per-beam reference
+
+
+def reference_steering(shape: tuple[int, int], spacing_wl: float, direction: UvPoint) -> np.ndarray:
+    """One point's steering weights, as synthesis steered each point before it steered stacks."""
+    nx, ny = shape
+    arg = 2.0 * np.pi * spacing_wl * (
+        np.arange(nx)[:, None] * direction.u + np.arange(ny)[None, :] * direction.v
+    )
+    w = np.empty((nx, ny), dtype=complex)
+    np.cos(arg, out=w.real)
+    np.sin(arg, out=w.imag)
+    w.imag += 0.0
+    return w
+
+
+def reference_coefficient(weights: np.ndarray, toward: np.ndarray) -> complex:
+    offset = np.conj(toward)  # named: numpy multiplies an unnamed temporary in place
+    return complex((weights * offset).sum())
+
+
+def reference_synthesize_plan(plan: BeamPlan, shifts=None):
+    """synthesize_plan one beam and one overlap at a time, composed from a per-group list.
+
+    Returns the weight grid, the shifts and the skipped overlaps.
+    """
+    layout = plan.layout
+    shape = (layout.side_x, layout.side_y)
+    beams = [reference_steering(shape, layout.spacing_wl, c) for c in plan.beam_centers]
+    skipped = []
+    if shifts is None:
+        shifts = [complex(1.0, 0.0)]
+        for k, overlap in enumerate(plan.overlap_points):
+            toward = reference_steering(shape, layout.spacing_wl, overlap)
+            prev = shifts[k] * reference_coefficient(beams[k], toward)
+            nxt = reference_coefficient(beams[k + 1], toward)
+            if abs(prev) < SYNC_MAGNITUDE_FLOOR or abs(nxt) < SYNC_MAGNITUDE_FLOOR:
+                shifts.append(complex(1.0, 0.0))
+                skipped.append(k)
+                continue
+            shifts.append((prev / abs(prev)) * (abs(nxt) / nxt))
+    shifts = [complex(z) for z in shifts]
+    groups = [None] * layout.n_sub
+    group_shifts = np.zeros(layout.n_sub, dtype=complex)
+    for subs, center, weights, shift in zip(plan.assignment, plan.beam_centers, beams, shifts):
+        for g in subs:
+            groups[g] = weights
+            group_shifts[g] = shift * origin_phase_correction(layout, g, center)
+    stacked = np.stack(groups)
+    np.multiply(group_shifts[:, None, None], stacked, out=stacked)
+    return layout.scatter(stacked), tuple(shifts), tuple(skipped)
+
+
+def null_of(center: UvPoint, layout) -> UvPoint | None:
+    """A point where a group steered at ``center`` has a null on both axes, if one lies in the disc."""
+    du = 1.0 / (layout.side_x * layout.spacing_wl)
+    dv = 1.0 / (layout.side_y * layout.spacing_wl)
+    for su, sv in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        u, v = center.u + su * du, center.v + sv * dv
+        if u * u + v * v <= 1.0:
+            return UvPoint(u, v)
+    return None
+
+
+def beams_along(traj: Trajectory, layout, n_beams: int, nulls: bool) -> BeamPlan:
+    """A plan of ``n_beams`` centres spread along the path; overlaps at midpoints or at nulls of the earlier beam."""
+    centers = tuple(traj[int(i)] for i in np.linspace(0, len(traj) - 1, n_beams).round())
+    overlaps = []
+    for a, b in zip(centers, centers[1:]):
+        null = null_of(a, layout) if nulls else None
+        overlaps.append(null or UvPoint((a.u + b.u) / 2.0, (a.v + b.v) / 2.0))
+    return BeamPlan(
+        beam_centers=centers,
+        overlap_points=tuple(overlaps),
+        sync_shifts=(complex(1.0, 0.0),) * n_beams,
+        layout=layout,
+        assignment=allocate_sub_arrays(n_beams, layout.n_sub),
+        trajectory=traj,
+        extrapolated=False,
+        sync_skipped=(),
+    )
+
+
+def assert_synthesis_matches_reference(plan: BeamPlan, shifts) -> BeamPlan:
+    awv, synced = synthesize_plan(plan, shifts)
+    want, want_shifts, want_skipped = reference_synthesize_plan(plan, shifts)
+    assert awv.weights.tobytes() == want.tobytes()
+    assert np.array(synced.sync_shifts).tobytes() == np.array(want_shifts).tobytes()
+    assert synced.sync_skipped == want_skipped
+    return synced
+
+
+@st.composite
+def synthesis_inputs(draw):
+    interleave = draw(st.sampled_from([4, 16]))
+    depth = draw(st.integers(0, 2))
+    unit = math.isqrt(interleave) << depth
+    nx, ny = (unit * draw(st.integers(-(-32 // unit), 256 // unit)) for _ in range(2))
+    layout = partition_interleaved(ArrayConfig(nx, ny), interleave)
+    for _ in range(depth):
+        layout = partition_localized(layout)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q1 = Quaternion(*rng.normal(size=4))
+    turn = Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(0.0, 0.6))
+    ap = UvPoint(*rng.uniform(-0.2, 0.2, size=2))
+    n_samples = draw(st.integers(2, 300))
+    n_beams = draw(st.integers(1, min(layout.n_sub, 12)))
+    nulls = draw(st.booleans())
+    override = draw(st.booleans())
+    shifts = np.exp(2j * np.pi * rng.uniform(size=n_beams)) if override else None
+    return q1, hamilton_product(turn, q1), ap, n_samples, layout, n_beams, nulls, shifts
+
+
+@settings(max_examples=200)
+@given(synthesis_inputs())
+def test_batched_synthesis_bit_equal_reference(inputs):
+    # Weights, shifts, skips and the sampled path carry the same bits as the
+    # per-beam synthesis and the np.cross trajectory they replaced.
+    q1, q2, ap, n_samples, layout, n_beams, nulls, shifts = inputs
+    traj = sample_trajectory(q1, q2, ap, n_samples)
+    assert traj.uv.tobytes() == reference_sample_trajectory(q1, q2, ap, n_samples).uv.tobytes()
+    plan = beams_along(traj, layout, n_beams, nulls)
+    assert_synthesis_matches_reference(plan, shifts)
+
+
+def test_batched_synthesis_reaches_the_skip_branch():
+    # On 16 x 16 groups the rounding left at a null stays below the sync's
+    # floor; on groups of thousands of elements it can exceed it.
+    layout = partition_interleaved(ArrayConfig(), 4)
+    traj = sample_trajectory(*collinear_pair(0.3), 64)
+    synced = assert_synthesis_matches_reference(beams_along(traj, layout, 4, nulls=True), None)
+    assert synced.sync_skipped == (0, 1, 2)
+    assert synced.sync_shifts == (complex(1.0, 0.0),) * 4
+
+
+@pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
+def test_batched_synthesis_bit_equal_reference_at_1024(no_sync):
+    # 64 groups of 128 x 128: from 256 KiB up numpy multiplies an unnamed
+    # temporary in place, and no golden plan is this large.
+    layout = partition_localized(partition_localized(partition_interleaved(ArrayConfig(1024, 1024), 4)))
+    assert (layout.n_sub, layout.side_x, layout.side_y) == (64, 128, 128)
+    q1, q2, ap = collinear_pair(0.4)
+    plan = beams_along(sample_trajectory(q1, q2, ap, 256), layout, 48, nulls=False)
+    shifts = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=48)) if no_sync else None
+    assert_synthesis_matches_reference(plan, shifts)
+
+
+@pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
+def test_synthesize_plan_peaks_at_the_beam_stack_plus_two_dense_grids(no_sync):
+    # One beam per group, so the overlap stack of the sync is as large as it gets.
+    # The sync holds the beams, the overlap steerings and one product at a
+    # time; composition holds the beams, the per-group stack and the scattered
+    # grid. Holding the overlap stack past the sync, or a third stack in it,
+    # goes past this bound. Bookkeeping (shift lists, index arrays, the plan
+    # record) gets 1 KiB per group.
+    n = 512
+    layout = partition_localized(partition_localized(partition_interleaved(ArrayConfig(n, n), 4)))
+    q1, q2, ap = collinear_pair(0.4)
+    plan = beams_along(sample_trajectory(q1, q2, ap, 256), layout, layout.n_sub, nulls=False)
+    shifts = np.exp(1j * np.arange(plan.n_beams)) if no_sync else None
+    synthesize_plan(plan, shifts)
+    beams = plan.n_beams * layout.side_x * layout.side_y * 16
+    dense = n * n * 16
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        synthesize_plan(plan, shifts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= beams + 2 * dense + 1024 * layout.n_sub
 
 
 @pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
