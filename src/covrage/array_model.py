@@ -182,13 +182,14 @@ class SubArrayLayout:
         return r % m + m * qx * self.side_x, r // m + m * qy * self.side_y
 
     def scatter(self, groups: np.ndarray) -> np.ndarray:
-        """Read-only element grid ``[x, y]`` from group grids ``groups[k, lx, ly]``.
+        """Read-only element grid ``[x, y]`` from every group's grid, ``groups[k, lx, ly]``.
 
-        The group axes split into ry, rx, then qy, qx per split, then lx, ly;
-        x reads (qx..., lx, rx) row-major and y reads (qy..., ly, ry).
+        ``groups`` is the full ``(n_sub, side_x, side_y)`` stack. Its group
+        axis splits into ry, rx, then qy, qx per split; x reads (qx..., lx, rx)
+        row-major and y reads (qy..., ly, ry).
         """
         m, d, hx, hy = self.stride, self.subdivisions, self.side_x, self.side_y
-        stacked = np.broadcast_to(groups, (self.n_sub, hx, hy)).reshape((m, m) + (2,) * (2 * d) + (hx, hy))
+        stacked = groups.reshape((m, m) + (2,) * (2 * d) + (hx, hy))
         qy = range(2, 2 + 2 * d, 2)
         grid = stacked.transpose(*(a + 1 for a in qy), 2 + 2 * d, 1, *qy, 3 + 2 * d, 0)
         grid = grid.reshape(self.config.nx, self.config.ny)
@@ -241,19 +242,17 @@ def steering_weights(shape: tuple[int, int], spacing_wl: float, direction: UvPoi
     return Awv._trusted(steering_stack(shape, spacing_wl, (direction,))[0])
 
 
-def array_coefficient(awv, toward):
+def array_coefficient(weights: np.ndarray, toward: np.ndarray) -> np.ndarray:
     """Receive coefficients toward points, given the steering weights at them.
 
-    Each argument is an Awv or a stack of grids ``[b, x, y]``, and grid b of
-    ``awv`` meets grid b of ``toward``: two stacks give one coefficient per grid,
-    two Awvs one complex. Each grid's sum is the pairwise sum of its ``.sum()``.
+    Both arguments are stacks of grids ``[b, x, y]``, and grid b of ``weights``
+    meets grid b of ``toward``: one coefficient per grid, each the pairwise sum
+    of that grid's ``.sum()``.
     """
-    w = awv.weights if isinstance(awv, Awv) else awv
-    offset = np.conj(toward.weights if isinstance(toward, Awv) else toward)
+    offset = np.conj(toward)
     # In place with the weights still the left operand: the bits of a fresh product.
-    np.multiply(w, offset, out=offset)
-    sums = offset.reshape(-1, w.shape[-2] * w.shape[-1]).sum(axis=1)
-    return complex(sums[0]) if w.ndim == 2 else sums
+    np.multiply(weights, offset, out=offset)
+    return offset.reshape(-1, weights.shape[-2] * weights.shape[-1]).sum(axis=1)
 
 
 def beamwidth_uv(n_side: int, spacing_wl: float) -> float:
@@ -272,21 +271,6 @@ def beamwidth_angular(n_side: int, spacing_wl: float, alpha: float) -> float:
     if c < 1e-9:
         raise ConfigError("beam degenerates at the array plane")
     return HALF_POWER_CONSTANT / (n_side * spacing_wl * c)
-
-
-def origin_phase_correction(layout: SubArrayLayout, k: int, direction: UvPoint) -> complex:
-    """Unit phasor aligning group k's coefficient phase to zero at its steering.
-
-    A group steered via local coordinates is internally coherent but carries the
-    plane-wave phase of its origin element; multiplying the group's weights by
-    this factor removes it, which is what lets groups aimed at one direction add
-    up exactly like the full aperture steered as one.
-    """
-    ox, oy = layout.origin(k)
-    arg = 2.0 * math.pi * layout.config.spacing_wavelengths * (
-        float(ox) * direction.u + float(oy) * direction.v
-    )
-    return complex(math.cos(arg), math.sin(arg))
 
 
 def compose_full_awv(beams: np.ndarray, beam_of, shifts, layout: SubArrayLayout) -> Awv:

@@ -400,12 +400,12 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
     """Every strategy plus both ablations on one scenario, one row at a time.
 
     The scenario's own strategy and ablation flags are ignored. The variants
-    share one sampled trajectory, one pair of path phasors and, but for
-    delayed_first, one weightless plan, which is dropped before delayed_first
-    plans its own. Each row holds its variant's weight vector, so a caller
-    that drops a row before taking the next keeps one large array's weights
-    alive, not six; each row is built inside _variant_row, so no local of
-    this generator holds a variant's weights between rows.
+    share one sampled trajectory, one pair of path phasors and one weightless
+    plan, which build_beam passes over for delayed_first. Each row holds its
+    variant's weight vector, so a caller that drops a row before taking the
+    next keeps one large array's weights alive, not six; each row is built
+    inside _variant_row, so no local of this generator holds a variant's
+    weights between rows.
     """
     cfg = sc.array
     traj = plan_trajectory(
@@ -414,8 +414,6 @@ def iter_strategies(sc: Scenario) -> Iterator[CompareRow]:
     phasors = path_phasors((cfg.nx, cfg.ny), traj.u_array(), traj.v_array(), cfg.spacing_wavelengths)
     plan = plan_geometry(traj, cfg, interleave=sc.interleave)
     for strategy, ablation in VARIANTS:
-        if ablation == "delayed_first":
-            plan = None
         yield _variant_row(sc, strategy, ablation, traj, plan, phasors)
 
 

@@ -36,7 +36,6 @@ from .array_model import (
     SubArrayLayout,
     array_coefficient,
     compose_full_awv,
-    origin_phase_correction,
     partition_interleaved,
     partition_localized,
     steering_stack,
@@ -130,26 +129,18 @@ def subdivision_level(path_length: float, beam_width: float, n_groups: int) -> i
 def allocate_sub_arrays(n_beams: int, n_groups: int) -> tuple[tuple[int, ...], ...]:
     """Assign groups to beams, spending spare groups on reinforcement.
 
-    The four-group arrangement keeps its special pairings: spares reinforce
-    diagonally opposite partners (group offsets (0,0)+(1,1) and (1,0)+(0,1)),
-    which keeps the reinforced pattern symmetric. Larger budgets hand out one
-    group per beam in order and spread the leftovers round-robin from beam 0.
+    Beam b takes groups b, b + n_beams, b + 2 n_beams, ...: one group per beam
+    in order, the spares dealt round-robin from beam 0. Two beams on four
+    groups instead pair diagonally opposite partners (group offsets (0,0)+(1,1)
+    and (1,0)+(0,1)), which keeps each reinforced pattern symmetric.
     """
     if n_beams < 1:
         raise ValueError("at least one beam required")
     if n_beams > n_groups:
         raise ValueError(f"{n_beams} beams exceed the {n_groups} available groups; subdivide first")
-    if n_groups == 4:
-        return {
-            1: ((0, 1, 2, 3),),
-            2: ((0, 3), (1, 2)),
-            3: ((0, 3), (1,), (2,)),
-            4: ((0,), (1,), (2,), (3,)),
-        }[n_beams]
-    groups = [[k] for k in range(n_beams)]
-    for spare in range(n_beams, n_groups):
-        groups[(spare - n_beams) % n_beams].append(spare)
-    return tuple(tuple(g) for g in groups)
+    if (n_beams, n_groups) == (2, 4):
+        return ((0, 3), (1, 2))
+    return tuple(tuple(range(b, n_groups, n_beams)) for b in range(n_beams))
 
 
 def _radius2(half_width: float) -> float:
@@ -363,10 +354,11 @@ def plan_trajectory(
     A fixed ``n_samples`` is taken as given. Otherwise a 64-sample probe
     estimates the path length and the quadrant-split depth; if a tenth of the
     resulting beam width needs finer spacing, the path is resampled at that
-    density. Either count is a config error beyond ``MAX_TRAJECTORY_SAMPLES``.
+    density. A fixed count below 2, or either count beyond
+    ``MAX_TRAJECTORY_SAMPLES``, is a config error.
     """
     if n_samples is not None:
-        if n_samples > MAX_TRAJECTORY_SAMPLES:
+        if not 2 <= n_samples <= MAX_TRAJECTORY_SAMPLES:
             raise sample_count_error()
         return sample_trajectory(q1, q2, ap_dir, n_samples)
     width = partition_interleaved(cfg, interleave).beam_width
@@ -394,10 +386,8 @@ def plan_geometry(
     authoritative: if it exceeds the group budget the split depth is raised
     and coverage rerun. Every shift stays 1 until synthesize_plan.
     """
-    layout = partition_interleaved(cfg, interleave)
-    length = trajectory_length(traj)
-    for _ in range(subdivision_level(length, layout.beam_width, interleave)):
-        layout = partition_localized(layout)
+    width = partition_interleaved(cfg, interleave).beam_width
+    layout = SubArrayLayout(cfg, interleave, subdivision_level(trajectory_length(traj), width, interleave))
     while True:
         cover = cover_points(traj, layout.half_width, delayed_first=delayed_first)
         if len(cover.centers) <= layout.n_sub:
@@ -433,12 +423,17 @@ def synthesize_plan(plan: BeamPlan, shifts: Sequence[complex] | None = None) -> 
     else:
         shifts, skipped = phase_sync(beams, plan.overlap_points, layout)
 
+    # Each shift also removes the plane-wave phase of the group's origin toward
+    # its beam's centre, on math.cos/sin: numpy's SIMD kernels round differently.
+    scale = 2.0 * math.pi * layout.config.spacing_wavelengths
     beam_of = [0] * layout.n_sub
     sub_shifts = [0j] * layout.n_sub  # an unassigned group fails compose's unit check
     for b, (subs, center, shift) in enumerate(zip(plan.assignment, centers, shifts)):
-        for sidx in subs:
-            beam_of[sidx] = b
-            sub_shifts[sidx] = shift * origin_phase_correction(layout, sidx, center)
+        for g in subs:
+            ox, oy = layout.origin(g)
+            arg = scale * (ox * center.u + oy * center.v)
+            beam_of[g] = b
+            sub_shifts[g] = shift * complex(math.cos(arg), math.sin(arg))
     awv = compose_full_awv(beams, beam_of, sub_shifts, layout)
     return awv, replace(plan, sync_shifts=shifts, sync_skipped=skipped)
 

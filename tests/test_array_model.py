@@ -13,6 +13,7 @@ from covrage.array_model import (
     Awv,
     GAIN_FLOOR_DBI,
     PEAK_GRID,
+    SubArrayLayout,
     array_coefficient,
     beamwidth_angular,
     beamwidth_uv,
@@ -20,7 +21,6 @@ from covrage.array_model import (
     coefficient_points,
     compose_full_awv,
     floored_gain_dbi,
-    origin_phase_correction,
     partition_interleaved,
     partition_localized,
     peak_gain,
@@ -140,7 +140,7 @@ def test_array_coefficient_matches_brute_force():
         awv = random_awv(rng, nx, ny)
         for _ in range(4):
             p = random_uv(rng)
-            got = array_coefficient(awv, steering_weights(awv.shape, 0.5, p))
+            got = array_coefficient(awv.weights[None], steering_weights(awv.shape, 0.5, p).weights[None])[0]
             want = brute_coefficient(awv.weights, p.u, p.v, 0.5)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -208,7 +208,8 @@ def test_gain_floor_is_the_documented_minus_40_dbi():
 def test_coefficient_magnitude_bounded_by_element_count(seed):
     rng = np.random.default_rng(seed)
     awv = random_awv(rng, 4, 5)
-    assert abs(array_coefficient(awv, steering_weights(awv.shape, 0.5, random_uv(rng)))) <= 20.0 + 1e-9
+    toward = steering_weights(awv.shape, 0.5, random_uv(rng))
+    assert abs(array_coefficient(awv.weights[None], toward.weights[None])[0]) <= 20.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +245,13 @@ def element_images(layout):
     """Each element's group, local x and local y as ``[x, y]`` grids, and the groups' origin rows.
 
     The grids are ``layout.scatter`` of each group's index and local
-    coordinates; the origin table is ``layout.origin`` of every group.
+    coordinates, broadcast to the full group stack; the origin table is
+    ``layout.origin`` of every group.
     """
-    sub_index = layout.scatter(np.arange(layout.n_sub)[:, None, None])
-    local_x = layout.scatter(np.arange(layout.side_x)[None, :, None])
-    local_y = layout.scatter(np.arange(layout.side_y)[None, None, :])
+    stack = (layout.n_sub, layout.side_x, layout.side_y)
+    sub_index = layout.scatter(np.broadcast_to(np.arange(layout.n_sub)[:, None, None], stack))
+    local_x = layout.scatter(np.broadcast_to(np.arange(layout.side_x)[None, :, None], stack))
+    local_y = layout.scatter(np.broadcast_to(np.arange(layout.side_y)[None, None, :], stack))
     origins = np.stack(layout.origin(np.arange(layout.n_sub)), axis=1)
     return sub_index, local_x, local_y, origins
 
@@ -440,6 +443,21 @@ def test_layout_arithmetic_allocates_no_element_arrays():
 # Composition and origin corrections
 
 
+def origin_phase_correction(layout: SubArrayLayout, k: int, direction: UvPoint) -> complex:
+    """Unit phasor aligning group k's coefficient phase to zero at its steering.
+
+    A group steered via local coordinates is internally coherent but carries the
+    plane-wave phase of its origin element; multiplying the group's weights by
+    this factor removes it, which is what lets groups aimed at one direction add
+    up exactly like the full aperture steered as one.
+    """
+    ox, oy = layout.origin(k)
+    arg = 2.0 * math.pi * layout.config.spacing_wavelengths * (
+        float(ox) * direction.u + float(oy) * direction.v
+    )
+    return complex(math.cos(arg), math.sin(arg))
+
+
 def test_compose_full_awv_scatter_oracle():
     rng = np.random.default_rng(27)
     layout = partition_interleaved(ArrayConfig(), 4)
@@ -528,7 +546,8 @@ def test_opposed_shifts_cancel_coefficients():
     base = [origin_phase_correction(layout, k, d) for k in range(4)]
     signs = [1.0, -1.0, -1.0, 1.0]
     composed = compose_full_awv(sub.weights[None], [0] * 4, [s * b for s, b in zip(signs, base)], layout)
-    c = array_coefficient(composed, steering_weights(composed.shape, cfg.spacing_wavelengths, d))
+    toward = steering_weights(composed.shape, cfg.spacing_wavelengths, d)
+    c = array_coefficient(composed.weights[None], toward.weights[None])[0]
     assert abs(c) < 1e-6
 
 
@@ -652,7 +671,7 @@ def kind_weights(kind: tuple, nx: int, ny: int, spacing_wl: float) -> Awv:
 @example(1, 1, 2.0, ("random", 3), UvPoint(1.0, 0.0))
 def test_array_coefficient_bit_equal_reference(nx, ny, spacing, kind, p):
     awv = kind_weights(kind, nx, ny, spacing)
-    got = np.array([array_coefficient(awv, steering_weights(awv.shape, spacing, p))])
+    got = array_coefficient(awv.weights[None], steering_weights(awv.shape, spacing, p).weights[None])
     want = np.array([reference_array_coefficient(awv, p, spacing)])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 

@@ -16,7 +16,6 @@ from covrage.array_model import (
     array_coefficient,
     beamwidth_uv,
     coefficient_points,
-    origin_phase_correction,
     partition_interleaved,
     partition_localized,
     steering_stack,
@@ -40,7 +39,7 @@ from covrage.planner import (
     subdivision_level,
     synthesize_plan,
 )
-from test_array_model import element_images
+from test_array_model import element_images, origin_phase_correction
 from test_geometry import reference_sample_trajectory
 
 W16 = beamwidth_uv(16, 0.5)  # 0.11075
@@ -115,6 +114,39 @@ def test_allocate_validation():
         allocate_sub_arrays(5, 4)
     with pytest.raises(ValueError):
         allocate_sub_arrays(0, 4)
+
+
+def reference_allocate_sub_arrays(n_beams: int, n_groups: int) -> tuple[tuple[int, ...], ...]:
+    """Assign groups to beams, spending spare groups on reinforcement.
+
+    The four-group arrangement keeps its special pairings: spares reinforce
+    diagonally opposite partners (group offsets (0,0)+(1,1) and (1,0)+(0,1)),
+    which keeps the reinforced pattern symmetric. Larger budgets hand out one
+    group per beam in order and spread the leftovers round-robin from beam 0.
+    """
+    if n_beams < 1:
+        raise ValueError("at least one beam required")
+    if n_beams > n_groups:
+        raise ValueError(f"{n_beams} beams exceed the {n_groups} available groups; subdivide first")
+    if n_groups == 4:
+        return {
+            1: ((0, 1, 2, 3),),
+            2: ((0, 3), (1, 2)),
+            3: ((0, 3), (1,), (2,)),
+            4: ((0,), (1,), (2,), (3,)),
+        }[n_beams]
+    groups = [[k] for k in range(n_beams)]
+    for spare in range(n_beams, n_groups):
+        groups[(spare - n_beams) % n_beams].append(spare)
+    return tuple(tuple(g) for g in groups)
+
+
+@pytest.mark.parametrize("n_groups", [1, 4, 16, 64, 256, 1024])
+def test_allocate_equals_table_and_round_robin_reference(n_groups):
+    # Every group count a layout of interleave 1, 4, 16 or 64 reaches within
+    # two splits, with every beam count it can hold.
+    for n_beams in range(1, n_groups + 1):
+        assert allocate_sub_arrays(n_beams, n_groups) == reference_allocate_sub_arrays(n_beams, n_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +647,8 @@ def test_phase_sync_aligns_phases_at_overlaps():
     assert shifts[0] == 1.0 + 0.0j
     for k, o in enumerate(overlaps):
         toward = steering_weights((layout.side_x, layout.side_y), layout.spacing_wl, o)
-        prev = shifts[k] * array_coefficient(beams[k], toward)
-        nxt = shifts[k + 1] * array_coefficient(beams[k + 1], toward)
+        prev = shifts[k] * array_coefficient(beams[k].weights[None], toward.weights[None])[0]
+        nxt = shifts[k + 1] * array_coefficient(beams[k + 1].weights[None], toward.weights[None])[0]
         # Shifted coefficients agree in phase: their sum is fully constructive.
         assert abs(prev + nxt) == pytest.approx(abs(prev) + abs(nxt), abs=1e-6)
         assert cmath.phase(prev / nxt) == pytest.approx(0.0, abs=1e-9)
@@ -855,9 +887,11 @@ def test_covrage_plan_delayed_first_moves_first_center():
 
 
 def test_covrage_plan_rejects_tiny_sample_count():
+    # The same error as a count past the ceiling, and as Scenario gives.
     q1, q2, ap = collinear_pair(0.3)
-    with pytest.raises(ValueError):
-        covrage_plan(q1, q2, ap, ArrayConfig(), n_samples=1)
+    for n in (1, 0, -5):
+        with pytest.raises(ConfigError, match=f"^n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}$"):
+            covrage_plan(q1, q2, ap, ArrayConfig(), n_samples=n)
 
 
 def test_fixed_sample_count_past_the_ceiling_is_a_config_error(monkeypatch):
@@ -1046,12 +1080,24 @@ def test_batched_synthesis_reaches_the_skip_branch():
     assert synced.sync_shifts == (complex(1.0, 0.0),) * 4
 
 
-@pytest.mark.parametrize("no_sync", [False, True], ids=["synced", "override"])
-def test_batched_synthesis_bit_equal_reference_at_1024(no_sync):
-    # 64 groups of 128 x 128: from 256 KiB up numpy multiplies an unnamed
-    # temporary in place, and no golden plan is this large.
-    layout = partition_localized(partition_localized(partition_interleaved(ArrayConfig(1024, 1024), 4)))
-    assert (layout.n_sub, layout.side_x, layout.side_y) == (64, 128, 128)
+@pytest.mark.parametrize(
+    "interleave,no_sync",
+    [
+        pytest.param(4, False, id="synced"),
+        pytest.param(4, True, id="override"),
+        pytest.param(64, False, id="1024-groups-synced"),
+        pytest.param(64, True, id="1024-groups-override"),
+    ],
+)
+def test_batched_synthesis_bit_equal_reference_at_1024(interleave, no_sync):
+    # Interleave 4 gives 64 groups of 128 x 128: from 256 KiB up numpy
+    # multiplies an unnamed temporary in place, and no golden plan is this
+    # large. Interleave 64 gives 1024 groups of 32 x 32, so the origin phasors
+    # run over group indices up to 1023 and origins up to (775, 775).
+    layout = partition_localized(partition_localized(partition_interleaved(ArrayConfig(1024, 1024), interleave)))
+    n_sub, side, last_origin = {4: (64, 128, 769), 64: (1024, 32, 775)}[interleave]
+    assert (layout.n_sub, layout.side_x, layout.side_y) == (n_sub, side, side)
+    assert layout.origin(n_sub - 1) == (last_origin, last_origin)
     q1, q2, ap = collinear_pair(0.4)
     plan = beams_along(sample_trajectory(q1, q2, ap, 256), layout, 48, nulls=False)
     shifts = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=48)) if no_sync else None

@@ -1,6 +1,8 @@
 """Source checks on the package's own modules."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,53 @@ def test_module_uses_every_name_it_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) of each public top-level function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _identifiers(node: ast.AST) -> Counter:
+    """How often each name or attribute appears in ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _library_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.split(r"^## ", readme.split("\n## Library\n", 1)[1], flags=re.M)[0]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # A helper only the tests call belongs in the tests. A public name counts as
+    # used when src/ reads it outside its own definition, or when the benchmark,
+    # the acceptance gate or README's Library section names it.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    in_src = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    outside = "\n".join(
+        [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+        + [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"), _library_section()]
+    )
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name, node in _public_definitions(tree)
+        if in_src[name] == _identifiers(node)[name] and not re.search(rf"\b{name}\b", outside)
+    ]
+    assert unused == []
