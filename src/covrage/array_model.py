@@ -13,9 +13,12 @@ one pass, and ``array_coefficient`` sums weights times the conjugate of the
 steerings its caller passes, grid by grid over stacks, so one steering serves
 several weight vectors. On many points it separates into per-axis phasors,
 ``exp(-2j pi d x u)`` and in y, which ``path_phasors`` and ``coefficient_grid``
-contract with the weights. Where bits must not move, an operand of numpy's
-vectorised complex multiply is bound to a name: an unnamed temporary is
-multiplied in place, which rounds differently, as can swapped operands.
+contract with the weights; ``path_coefficients`` does so by two products,
+the longer axis first, in the order that keeps the bits of numpy's planned
+three-operand contraction without its per-call path search. Where bits must
+not move, an operand of numpy's vectorised complex multiply is bound to a
+name: an unnamed temporary is multiplied in place, which rounds differently,
+as can swapped operands.
 
 Sub-array layouts assign every physical element to exactly one group and give it
 local coordinates inside that group. Interleaving takes every sqrt(M)-th element,
@@ -297,11 +300,24 @@ def compose_full_awv(beams: np.ndarray, beam_of, shifts, layout: SubArrayLayout)
 
 
 def quantize_phases(awv: Awv, bits: int) -> Awv:
-    """Snap every weight to the nearest of 2**bits uniformly spaced phases."""
+    """Snap every weight to the nearest of 2**bits uniformly spaced phases.
+
+    A weight's level is its phase over the step, rounded: an integer from
+    -2**(bits-1) to 2**(bits-1), both ends kept, since exp(-i pi) and exp(i pi)
+    differ in their last bits. With fewer levels than weights, the 2**bits + 1
+    phasors are computed once as a table and each weight looks its level up;
+    otherwise, as at 52 bits, each weight takes its own ``exp``. Both give the
+    same bits.
+    """
     if not 1 <= bits <= MAX_PHASE_BITS:
         raise ConfigError(f"phase quantization needs 1 to {MAX_PHASE_BITS} bits")
     step = 2.0 * np.pi / (2**bits)
-    return Awv._trusted(np.exp(1j * step * np.round(np.angle(awv.weights) / step)))
+    level = np.round(np.angle(awv.weights) / step)
+    if 2**bits + 1 >= level.size:
+        return Awv._trusted(np.exp(1j * step * level))
+    half = 2 ** (bits - 1)
+    table = np.exp(1j * step * np.arange(-half, half + 1, dtype=float))
+    return Awv._trusted(table[(level + half).astype(np.intp)])
 
 
 def _axis_phasors(n: int, c, spacing_wl: float) -> np.ndarray:
@@ -327,9 +343,22 @@ def path_phasors(shape: tuple[int, int], u, v, spacing_wl: float) -> tuple[np.nd
 
 
 def path_coefficients(awv: Awv, phasors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Receive coefficients at the directions ``phasors`` were built for."""
+    """Receive coefficients at the directions ``phasors`` were built for.
+
+    Two products: the weights with the longer axis's phasors, then one dot per
+    direction with the other axis's. This is the path and operand order numpy
+    2.4's greedy planner picks for the contraction ``xk,xy,yk->k``, and it
+    gives that contraction's bits for phasors from ``path_phasors``. Swapped
+    operands do not: ``eu.T @ w`` for ``w.T @ eu`` moves last bits, on a
+    square array at every sample count that is not a multiple of 4.
+    """
     eu, ev = phasors
-    return np.einsum("xk,xy,yk->k", eu, awv.weights, ev, optimize=True)
+    w = awv.weights
+    if w.shape[0] >= w.shape[1]:
+        t = w.T @ eu
+        return np.matmul(t.T[:, None, :], ev.T[:, :, None]).reshape(-1)
+    s = ev.T @ w.T
+    return np.matmul(s[:, None, :], eu.T[:, :, None]).reshape(-1)
 
 
 def coefficient_points(awv: Awv, u, v, spacing_wl: float) -> np.ndarray:

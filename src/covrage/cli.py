@@ -8,8 +8,9 @@ as it was. Identical invocations produce byte-identical files (no
 timestamps, fixed float formatting).
 
 Exit codes: 0 success, 2 config errors (command-line mistakes, undecodable
-files and a config whose arrays do not fit in memory among them), 3
-model-domain errors such as a trajectory leaving the front hemisphere.
+files, a fixed n_samples too small for its path and a config whose arrays do
+not fit in memory among them), 3 model-domain errors such as a trajectory
+leaving the front hemisphere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .array_model import ArrayConfig
 from .errors import ConfigError, CovrageError, read_utf8
-from .geometry import EulerAngles, Quaternion, UvPoint, euler_to_quat, euler_to_uv, trajectory_length
+from .geometry import EulerAngles, Quaternion, UvPoint, euler_to_quat, euler_to_uv
 from .harness import (
     ABLATIONS,
     DISPLAY_CLAMP_DBI,
@@ -286,7 +287,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"beams: {plan.n_beams}")
     print(f"groups: {layout.n_sub} (interleave {layout.interleave_factor}, subdivisions {layout.subdivisions})")
     print(f"sub-beam width: {_fmt(layout.beam_width)}")
-    print(f"trajectory: {len(plan.trajectory)} samples, length {_fmt(trajectory_length(plan.trajectory))}")
+    print(f"trajectory: {len(plan.trajectory)} samples, length {_fmt(plan.trajectory.length)}")
     for k, (center, subs) in enumerate(zip(plan.beam_centers, plan.assignment)):
         ids = ",".join(str(s) for s in subs)
         print(f"beam {k}: u={_fmt(center.u)} v={_fmt(center.v)} groups=[{ids}]")
@@ -311,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "strategy": sc.strategy,
         "ablation": sc.ablation,
         "n_samples": len(built.trajectory),
-        "trajectory_length_uv": trajectory_length(built.trajectory),
+        "trajectory_length_uv": built.trajectory.length,
         "beam_count": built.beam_count,
         "min_gain_dbi": res.min_gain_dbi,
         "max_gain_dbi": res.max_gain_dbi,

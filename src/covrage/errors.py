@@ -19,6 +19,10 @@ class HemisphereError(CovrageError, ValueError):
     """A direction or trajectory sample left the front hemisphere."""
 
 
+class SampleSpacingError(ConfigError, ValueError):
+    """Path samples a coverage half-width or more apart: a fixed n_samples too small for its path."""
+
+
 def read_utf8(path) -> str:
     """The text of the file at ``path``; a file that is not UTF-8 is a ConfigError naming it."""
     data = Path(path).read_bytes()

@@ -23,7 +23,7 @@ shared state to guard when calling it from several threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +119,7 @@ class Trajectory:
     """
 
     uv: np.ndarray
+    length: float = field(init=False, repr=False)  # trajectory_length, measured once, at construction
 
     def __post_init__(self) -> None:
         uv = np.array(self.uv, dtype=float)
@@ -131,6 +132,7 @@ class Trajectory:
             raise InvalidUvError(f"trajectory row {outside[0]} ({u}, {v}) is not a point of the unit disc")
         uv.setflags(write=False)
         object.__setattr__(self, "uv", uv)
+        object.__setattr__(self, "length", trajectory_length(self))
 
     def __len__(self) -> int:
         return len(self.uv)

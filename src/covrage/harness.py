@@ -54,7 +54,6 @@ from .geometry import (
     UvPoint,
     hamilton_product,
     sample_trajectory,
-    trajectory_length,
 )
 from .link_budget import (
     LinkParams,
@@ -63,7 +62,7 @@ from .link_budget import (
     path_loss,
     select_mcs_levels,
 )
-from .planner import MAX_TRAJECTORY_SAMPLES, BeamPlan, sample_count_error
+from .planner import BeamPlan, check_sample_count
 from .planner import last_covering, plan_geometry, plan_trajectory, synthesize_plan
 
 STRATEGIES = ("covrage", "baseline-start", "baseline-edge", "baseline-mid")
@@ -103,8 +102,7 @@ class Scenario:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.ablation and self.strategy != "covrage":
             raise ConfigError("ablations apply to the covrage strategy only")
-        if self.n_samples is not None and not 2 <= self.n_samples <= MAX_TRAJECTORY_SAMPLES:
-            raise sample_count_error()
+        check_sample_count(self.n_samples)
         if self.phase_bits is not None and not 1 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ConfigError(f"phase_bits must be between 1 and {MAX_PHASE_BITS}")
         partition_interleaved(self.array, self.interleave)  # rejects an interleave the array cannot take
@@ -308,7 +306,7 @@ def _rotation_for_length(
         rot = Quaternion.from_axis_angle(axis, angle)
         q2 = hamilton_product(rot.conjugate(), q1)
         try:
-            return trajectory_length(sample_trajectory(q1, q2, ap_dir, 64))
+            return sample_trajectory(q1, q2, ap_dir, 64).length
         except (HemisphereError, InvalidUvError):
             return None
 

@@ -193,4 +193,5 @@ def select_mcs_levels(levels, table: tuple[McsEntry, ...]) -> tuple[McsEntry, ..
     met = np.searchsorted([entry.sensitivity_dbm for entry in table], levels, side="right")
     met[np.isnan(levels)] = 0
     choices = (LINK_LOST, *table)
-    return tuple(choices[k] for k in met.tolist())
+    # tuple() of a list comprehension: faster than of a generator or of map().
+    return tuple([choices[k] for k in met.tolist()])

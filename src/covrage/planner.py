@@ -40,13 +40,12 @@ from .array_model import (
     partition_localized,
     steering_stack,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SampleSpacingError
 from .geometry import (
     Quaternion,
     Trajectory,
     UvPoint,
     sample_trajectory,
-    trajectory_length,
 )
 
 # Closed-disc slack: a sample exactly on the coverage boundary counts as covered.
@@ -209,7 +208,9 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
     step = np.diff(trajectory.uv, axis=0)
     wide = np.flatnonzero(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1] >= half_width * half_width)
     if wide.size:
-        raise ValueError(f"sample spacing at index {wide[0] + 1} is not below the coverage half-width")
+        raise SampleSpacingError(
+            f"sample spacing at index {wide[0] + 1} is not below the coverage half-width; use a larger n_samples"
+        )
     pts = trajectory.uv.tolist()
     n = len(pts)
 
@@ -337,8 +338,9 @@ def phase_sync(
     return tuple(shifts), tuple(skipped)
 
 
-def sample_count_error() -> ConfigError:
-    return ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
+def check_sample_count(n_samples: int | None) -> None:
+    if n_samples is not None and not 2 <= n_samples <= MAX_TRAJECTORY_SAMPLES:
+        raise ConfigError(f"n_samples must be between 2 and {MAX_TRAJECTORY_SAMPLES}")
 
 
 def plan_trajectory(
@@ -357,15 +359,13 @@ def plan_trajectory(
     density. A fixed count below 2, or either count beyond
     ``MAX_TRAJECTORY_SAMPLES``, is a config error.
     """
+    check_sample_count(n_samples)
     if n_samples is not None:
-        if not 2 <= n_samples <= MAX_TRAJECTORY_SAMPLES:
-            raise sample_count_error()
         return sample_trajectory(q1, q2, ap_dir, n_samples)
     width = partition_interleaved(cfg, interleave).beam_width
     probe = sample_trajectory(q1, q2, ap_dir, MIN_TRAJECTORY_SAMPLES)
-    length = trajectory_length(probe)
-    s = subdivision_level(length, width, interleave)
-    steps = length / (width * 2.0**s / SAMPLES_PER_BEAMWIDTH)
+    s = subdivision_level(probe.length, width, interleave)
+    steps = probe.length / (width * 2.0**s / SAMPLES_PER_BEAMWIDTH)
     if steps > MAX_TRAJECTORY_SAMPLES - 1:
         raise ConfigError(
             f"the path needs more than {MAX_TRAJECTORY_SAMPLES} samples at a tenth of the beam width;"
@@ -386,8 +386,9 @@ def plan_geometry(
     authoritative: if it exceeds the group budget the split depth is raised
     and coverage rerun. Every shift stays 1 until synthesize_plan.
     """
-    width = partition_interleaved(cfg, interleave).beam_width
-    layout = SubArrayLayout(cfg, interleave, subdivision_level(trajectory_length(traj), width, interleave))
+    layout = partition_interleaved(cfg, interleave)
+    if depth := subdivision_level(traj.length, layout.beam_width, interleave):
+        layout = SubArrayLayout(cfg, interleave, depth)
     while True:
         cover = cover_points(traj, layout.half_width, delayed_first=delayed_first)
         if len(cover.centers) <= layout.n_sub:

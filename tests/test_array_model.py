@@ -23,6 +23,8 @@ from covrage.array_model import (
     floored_gain_dbi,
     partition_interleaved,
     partition_localized,
+    path_coefficients,
+    path_phasors,
     peak_gain,
     quantize_phases,
     steering_weights,
@@ -691,6 +693,70 @@ def test_peak_gain_bit_equal_reference(nx, ny, spacing, kind):
     g, at = peak_gain(awv, spacing)
     want_g, want_at = reference_peak_gain(awv, spacing)
     assert (g.hex(), at.u.hex(), at.v.hex()) == (want_g.hex(), want_at.u.hex(), want_at.v.hex())
+
+
+def reference_path_coefficients(awv: Awv, phasors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Receive coefficients at the directions ``phasors`` were built for."""
+    eu, ev = phasors
+    return np.einsum("xk,xy,yk->k", eu, awv.weights, ev, optimize=True)
+
+
+def reference_quantize_phases(awv: Awv, bits: int) -> np.ndarray:
+    """Every weight snapped to the nearest of 2**bits uniformly spaced phases."""
+    step = 2.0 * np.pi / (2**bits)
+    return np.exp(1j * step * np.round(np.angle(awv.weights) / step))
+
+
+def check_path_coefficients(nx: int, ny: int, k: int, spacing: float, kind: tuple, seed: int) -> None:
+    # The phasors come from path_phasors, as path_coefficients requires: on an
+    # axis of one element they are exactly 1, and the reference's separate
+    # reduction of that axis then rounds nothing.
+    awv = kind_weights(kind, nx, ny, spacing)
+    rng = np.random.default_rng(seed)
+    r, a = np.sqrt(rng.uniform(0.0, 1.0, k)), rng.uniform(0.0, 2.0 * np.pi, k)
+    u, v = r * np.cos(a), r * np.sin(a)
+    u[::7] = 0.0  # a zero offset phase, where signed zeros can differ
+    phasors = path_phasors(awv.shape, u, v, spacing)
+    got = path_coefficients(awv, phasors)
+    assert got.view(np.uint64).tolist() == reference_path_coefficients(awv, phasors).view(np.uint64).tolist()
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 300), st.floats(0.05, 2.0), weight_kinds,
+       st.integers(0, 2**32 - 1))
+def test_path_coefficients_bit_equal_reference(nx, ny, k, spacing, kind, seed):
+    check_path_coefficients(nx, ny, k, spacing, kind, seed)
+
+
+# Short sample counts, where the swapped product eu.T @ w moves last bits (on a
+# square array at every count not a multiple of 4), on both sides of nx = ny
+# and on a single row or column.
+@pytest.mark.parametrize("k", [*range(1, 10), 63, 97])
+@pytest.mark.parametrize("nx, ny", [(12, 5), (5, 12), (16, 16), (1, 7), (7, 1)])
+def test_path_coefficients_bit_equal_reference_at_short_counts(nx, ny, k):
+    check_path_coefficients(nx, ny, k, 0.5, ("random", k), nx * 1000 + k)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 52), st.integers(-1, 1), st.integers(0, 2**32 - 1))
+@example(1, 0, 0)
+@example(2, 1, 0)
+@example(12, -1, 0)
+@example(52, 0, 0)
+def test_quantize_phases_bit_equal_reference(bits, side, seed):
+    # Up to 12 bits the weight count sits one below, at or one above the level
+    # count 2**bits + 1, so both sides of the table rule run.
+    n = 2**bits + 1 + side if bits <= 12 else 64
+    step = 2.0 * np.pi / (2**bits)
+    rng = np.random.default_rng(seed)
+    w = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    # Both ends of the phase range, both zero signs, a tie between two levels.
+    tie = np.exp(1j * step * (int(rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1))) + 0.5))
+    special = [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0), complex(1.0, 0.0), tie, np.exp(-1e-300j)]
+    w[: len(special)] = special[:n]
+    awv = Awv(w[None, :])
+    got = quantize_phases(awv, bits).weights
+    assert got.view(np.uint64).tolist() == reference_quantize_phases(awv, bits).view(np.uint64).tolist()
 
 
 def test_awv_rejects_non_unit_magnitudes():

@@ -668,6 +668,19 @@ def test_sample_count_past_the_ceiling_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "compare"])
+def test_sample_count_too_sparse_for_its_path_exits_two(tmp_path, capsys, command):
+    # Three samples on golden a's 0.30-long turn lie about 0.15 apart, wider than
+    # the coverage half-width of the 32x32 array's interleaved groups (0.055).
+    cfg = write_config(tmp_path, dict(REF_A, n_samples=3))
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        "config error: sample spacing at index 1 is not below the coverage half-width; use a larger n_samples\n"
+    )
+    assert not out.exists()
+
 @pytest.mark.parametrize("spacing", [1e17, 1e300])
 def test_automatic_sample_count_past_the_ceiling_exits_two(tmp_path, capsys, spacing):
     # A huge pitch makes the beam so narrow that sampling the turn would not fit in memory.

@@ -393,7 +393,9 @@ def reference_cover_points(trajectory: Trajectory, half_width: float, *, delayed
         dx = pts[k][0] - pts[k - 1][0]
         dy = pts[k][1] - pts[k - 1][1]
         if dx * dx + dy * dy >= half_width * half_width:
-            raise ValueError(f"sample spacing at index {k} is not below the coverage half-width")
+            raise ValueError(
+                f"sample spacing at index {k} is not below the coverage half-width; use a larger n_samples"
+            )
 
     start = 0
     if delayed_first:

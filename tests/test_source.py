@@ -27,6 +27,14 @@ def test_module_uses_every_name_it_imports(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_use_einsum(path):
+    assert "einsum" not in path.read_text(encoding="utf-8"), (
+        "numpy's einsum searches for a contraction path on every call, about 40 us, and every sweep"
+        " of a comparison would repeat it; write the contraction as matrix products"
+    )
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
