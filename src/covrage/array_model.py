@@ -48,6 +48,10 @@ HALF_POWER_CONSTANT = 0.886
 # so a finer step falls below the resolution of a phase.
 MAX_PHASE_BITS = 52
 
+# Most elements an array may have, 2048 x 2048: a larger config is refused
+# before anything is allocated for it.
+MAX_ELEMENTS = 2**22
+
 # Points per axis of the peak search's coarse sine-space grid.
 PEAK_GRID = 512
 
@@ -84,6 +88,8 @@ class ArrayConfig:
             span = math.inf
         if not math.isfinite(span):
             raise ConfigError("2*pi*array.spacing_wavelengths*max(array.nx, array.ny) must not overflow a float")
+        if self.nx * self.ny > MAX_ELEMENTS:
+            raise ConfigError(f"array.nx * array.ny must be at most {MAX_ELEMENTS} (2048 x 2048)")
 
 
 class Awv:

@@ -4,13 +4,15 @@ Configs are JSON; angles in configs are degrees, radians internally. Every
 output file starts with a schema-version line. A command first computes
 everything it writes, then creates the output directory and writes the run
 manifest and its data files, so a config or model error leaves the directory
-as it was. Identical invocations produce byte-identical files (no
-timestamps, fixed float formatting).
+as it was. The commands name the columns of their CSV tables, and
+``csvtext.write_table`` writes them. Identical invocations produce
+byte-identical files (no timestamps, fixed float formatting).
 
 Exit codes: 0 success, 2 config errors (command-line mistakes, undecodable
 files, a fixed n_samples too small for its path and a config whose arrays do
-not fit in memory among them), 3 model-domain errors such as a trajectory
-leaving the front hemisphere.
+not fit in memory among them), 3 any other ``CovrageError``: a model-domain
+error such as a trajectory leaving the front hemisphere. Any other exception
+is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """JSON int hook: a literal too long for Python's int conversion is a config error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"integer of {len(text)} digits in config") from None
+
+
 def _unique(pairs: list[tuple[str, object]]) -> dict:
     """JSON object hook: a key given twice is a config error, not a silent last-wins."""
     doc = dict(pairs)
@@ -70,63 +80,6 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
 def _write(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-# Rows per write: amortises the rendering work without building a file-sized string.
-_BLOCK_ROWS = 1 << 16
-
-
-class _Axis:
-    """The column ``values[row // stride % len(values)]``: one index of a row-major grid."""
-
-    __slots__ = ("values", "stride")
-
-    def __init__(self, values: np.ndarray, stride: int) -> None:
-        self.values, self.stride = values, stride
-
-
-def _grid(rows: np.ndarray, cols: np.ndarray) -> tuple[_Axis, _Axis]:
-    """Row-major columns pairing each entry of ``rows`` with each of ``cols``."""
-    return _Axis(rows, len(cols)), _Axis(cols, 1)
-
-
-def _items(matrix: np.ndarray) -> np.ndarray:
-    """A byte matrix whose rows are contiguous as one item per row, so a row moves as one."""
-    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
-
-
-def write_table(path: Path, header: list[str], columns: list) -> None:
-    """Write ``header`` lines, then one comma-separated row per entry of the equal-length columns.
-
-    A column is a sequence of values or an ``_Axis``, whose values are
-    rendered once and then picked by row; the sequences set the row count.
-    Rows are rendered and written ``_BLOCK_ROWS`` at a time, each block as
-    one byte matrix.
-    """
-    from .csvtext import cells
-
-    columns = [c if isinstance(c, _Axis) else np.asarray(c) for c in columns]
-    grid = [k for k, c in enumerate(columns) if isinstance(c, _Axis)]
-    plain = [k for k, c in enumerate(columns) if not isinstance(c, _Axis)]
-    n = len(columns[plain[0]])
-    axes = dict(zip(grid, cells([np.asarray(columns[k].values) for k in grid])))
-    with open(path, "wb") as fh:
-        fh.write("".join(line + "\n" for line in header).encode())
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(n, start + _BLOCK_ROWS)
-            rows = np.arange(start, stop)
-            parts = dict(zip(plain, cells([columns[k][start:stop] for k in plain])))
-            for k in grid:
-                parts[k] = axes[k].take(rows // columns[k].stride % len(axes[k]), axis=0)
-            parts = [parts[k] for k in range(len(columns))]
-            block = np.empty((stop - start, sum(p.shape[1] + 1 for p in parts)), np.uint8)
-            at = 0
-            for part in parts:
-                _items(block[:, at:at + part.shape[1]])[:] = _items(part)
-                at += part.shape[1] + 1
-                block[:, at - 1] = ord(",")
-            block[:, -1] = ord("\n")
-            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 # Scenario fields whose config keys differ from the field name. The manifest
@@ -216,7 +169,8 @@ def load_scenario(config_path: Path, args: argparse.Namespace) -> tuple[Scenario
     ``Scenario``, ``ArrayConfig`` and ``LinkParams``, apart from the keys in
     ``_SPELLED``.
     """
-    doc = json.loads(read_utf8(config_path), object_pairs_hook=_unique, parse_float=_finite, parse_constant=_finite)
+    doc = json.loads(read_utf8(config_path), object_pairs_hook=_unique, parse_float=_finite, parse_int=_integer,
+                     parse_constant=_finite)
     values = _scalars(doc, Scenario)
     array = ArrayConfig(**_scalars(doc.get("array", {}), ArrayConfig, "array."))
     link = _scalars(doc.get("link", {}), LinkParams, "link.")
@@ -296,7 +250,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for k, shift in enumerate(plan.sync_shifts):
         print(f"shift {k}: phase_rad={_fmt(np.angle(shift))}")
     print(f"extrapolated: {'yes' if plan.extrapolated else 'no'}")
-    labels = _grid(*map(np.arange, phases.shape))
+    from .csvtext import grid, write_table
+    labels = grid(*map(np.arange, phases.shape))
     write_table(out / "awv.csv", ["# covrage-awv-v1", "x,y,phase_rad"], [*labels, phases.ravel()])
     return 0
 
@@ -323,6 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "min_datarate_mbps": res.min_datarate_mbps,
     }
     out = _start_run("sweep", args, sc, mcs_path)
+    from .csvtext import write_table
     uv, mcs = built.trajectory.uv, res.mcs
     header = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
     write_table(out / "sweep.csv", header, [
@@ -340,12 +296,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_gainmap(args: argparse.Namespace) -> int:
     sc, mcs_path = load_scenario(args.config, args)
     built = build_beam(sc)
-    grid = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
+    gmap = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
     out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
+    from .csvtext import grid, write_table
     header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
-    index, axis = np.arange(grid.resolution), grid.axis
-    write_table(out / "gainmap.csv", header, [*_grid(index, index), *_grid(axis, axis), grid.gain_dbi.ravel()])
-    print(f"gainmap: {grid.resolution}x{grid.resolution} cells")
+    index, axis = np.arange(gmap.resolution), gmap.axis
+    write_table(out / "gainmap.csv", header, [*grid(index, index), *grid(axis, axis), gmap.gain_dbi.ravel()])
+    print(f"gainmap: {gmap.resolution}x{gmap.resolution} cells")
     return 0
 
 
@@ -363,6 +320,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{strategy:<16}{ablation or '-':<15}{beams:>5}"
             f"{lo:>10.3f}{hi:>10.3f}{span:>10.3f}{mcs:>5}{rate:>10.1f}"
         )
+    from .csvtext import write_table
     header = ["# covrage-compare-v1", ",".join(("strategy", "ablation", "beam_count") + stats)]
     write_table(out / "compare.csv", header, list(zip(*cells)))
     return 0
@@ -417,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CovrageError, ValueError) as exc:
+    except CovrageError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

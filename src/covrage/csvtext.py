@@ -1,14 +1,19 @@
-"""Text of CSV cells as matrices of NUL-padded bytes, with an exact vectorised ``'%.10g'``.
+"""CSV tables: header lines, then one comma-separated row per entry, written in blocks.
 
-A cell is its bytes left-aligned in a fixed-width slot and padded with NUL,
-which no cell holds, so a block of rows is its matrix with the NULs removed.
-Only ``'%.10g'``'s fixed form (decimal exponent -4 to 9) is vectorised; its
-exponent form (``1.5e-05``) is rare in the data files and takes ``%``.
-``cli.write_table`` imports this module on the first table it writes, so that
-importing the CLI neither compiles it nor builds its lookup tables.
+``write_table`` writes them and ``cells`` renders them. A cell is its bytes
+left-aligned in a fixed-width slot and padded with NUL, which no cell holds;
+a block of rows is the columns' slot matrices joined by commas and newlines,
+written with the NULs removed. Floats are ``'%.10g'`` of ``x + 0.0`` and NaN
+is ``out``. Only the fixed form (decimal exponent -4 to 9) is vectorised; the
+exponent form (``1.5e-05``) is rare in the data files and takes ``%``. The
+commands import this module when they write, so that importing the CLI
+neither compiles it nor builds its lookup tables.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +26,8 @@ _FLOAT_CELL = 24
 # small: rendering whole blocks raised the peak memory of a run of the four
 # commands on a 1024x1024 array by 16 MiB.
 _FLOAT_CHUNK = 1 << 14
+# Rows per write: amortises the rendering work without building a file-sized string.
+_BLOCK_ROWS = 1 << 16
 
 
 def _bytes_le(text: str) -> int:
@@ -210,3 +217,48 @@ def _plain(part: np.ndarray) -> np.ndarray:
     else:
         text = np.array([str(v).encode() for v in part.tolist()], dtype="S")
     return text.view(np.uint8).reshape(len(part), -1)
+
+
+# The column ``values[row // stride % len(values)]``: one index of a row-major grid.
+_Axis = namedtuple("_Axis", "values stride")
+
+
+def grid(rows: np.ndarray, cols: np.ndarray) -> tuple[_Axis, _Axis]:
+    """Row-major columns pairing each entry of ``rows`` with each of ``cols``."""
+    return _Axis(rows, len(cols)), _Axis(cols, 1)
+
+
+def _items(matrix: np.ndarray) -> np.ndarray:
+    """A byte matrix whose rows are contiguous as one item per row, so a row moves as one."""
+    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
+
+
+def write_table(path: Path, header: list[str], columns: list) -> None:
+    """Write ``header`` lines, then one comma-separated row per entry of the equal-length columns.
+
+    A column is a sequence of values or one of ``grid``'s, whose values are
+    rendered once and then picked by row; the sequences set the row count.
+    Rows are rendered and written ``_BLOCK_ROWS`` at a time, each block as
+    one byte matrix.
+    """
+    columns = [c if isinstance(c, _Axis) else np.asarray(c) for c in columns]
+    axes = {k: c for k, c in enumerate(columns) if isinstance(c, _Axis)}
+    plain = [c for c in columns if not isinstance(c, _Axis)]
+    labels = dict(zip(axes, cells([np.asarray(c.values) for c in axes.values()])))
+    n = len(plain[0])
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in header).encode())
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(n, start + _BLOCK_ROWS)
+            rows = np.arange(start, stop)
+            rendered = iter(cells([c[start:stop] for c in plain]))
+            parts = [labels[k].take(rows // c.stride % len(labels[k]), axis=0) if k in labels else next(rendered)
+                     for k, c in enumerate(columns)]
+            block = np.empty((stop - start, sum(p.shape[1] + 1 for p in parts)), np.uint8)
+            at = 0
+            for part in parts:
+                _items(block[:, at:at + part.shape[1]])[:] = _items(part)
+                at += part.shape[1] + 1
+                block[:, at - 1] = ord(",")
+            block[:, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))

@@ -24,8 +24,11 @@ class SampleSpacingError(ConfigError, ValueError):
 
 
 def read_utf8(path) -> str:
-    """The text of the file at ``path``; a file that is not UTF-8 is a ConfigError naming it."""
-    data = Path(path).read_bytes()
+    """The text of the file at ``path``; a path with a NUL or a file that is not UTF-8 is a ConfigError."""
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # a NUL in the path
+        raise ConfigError(f"{str(path)!r}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

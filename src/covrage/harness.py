@@ -284,9 +284,9 @@ class GainMap:
 
 
 def gain_map(awv: Awv, resolution: int, spacing_wl: float) -> GainMap:
-    """Evaluate the pattern on a resolution-squared grid, indexed [u, v]."""
-    if resolution < 16:
-        raise ConfigError("gain map resolution must be at least 16")
+    """Evaluate the pattern on a resolution-squared grid, indexed [u, v]; resolution is 16 to 2048."""
+    if not 16 <= resolution <= 2048:  # 2048**2 cells, as many as MAX_ELEMENTS
+        raise ConfigError("gain map resolution must be between 16 and 2048")
     axis = np.linspace(-1.0, 1.0, resolution)
     gain = floored_gain_dbi(np.abs(coefficient_grid(awv, axis, axis, spacing_wl)) ** 2)
     gain[axis[:, None] ** 2 + axis[None, :] ** 2 > 1.0] = np.nan

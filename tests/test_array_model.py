@@ -426,6 +426,13 @@ def test_layout_index_arrays_match_enumeration_oracle(mi, depth, data):
         assert not image.flags.writeable
 
 
+@pytest.mark.parametrize("nx,ny", [(2048, 2048), (1, 2**22), (2**22, 1)])
+def test_array_element_ceiling(nx, ny):
+    ArrayConfig(nx=nx, ny=ny)  # MAX_ELEMENTS itself is accepted
+    with pytest.raises(ConfigError, match=r"^array\.nx \* array\.ny must be at most 4194304 \(2048 x 2048\)$"):
+        ArrayConfig(nx=nx + 1, ny=ny)
+
+
 def test_layout_arithmetic_allocates_no_element_arrays():
     tracemalloc.start()
     try:

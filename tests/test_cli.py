@@ -5,13 +5,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import covrage
 from covrage import cli, csvtext, harness
+from covrage.array_model import MAX_ELEMENTS
 from covrage.cli import main
 from covrage.harness import build_beam, gain_map
 from covrage.planner import MAX_TRAJECTORY_SAMPLES
@@ -181,6 +187,15 @@ def test_gainmap_resolution_floor(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", [2049, 4096, 10**19])
+def test_gainmap_resolution_ceiling(tmp_path, capsys, resolution):
+    cfg = write_config(tmp_path, STATIC)
+    out = tmp_path / "out"
+    assert run("gainmap", "--config", cfg, "--out-dir", out, "--resolution", resolution) == 2
+    assert capsys.readouterr().err == "config error: gain map resolution must be between 16 and 2048\n"
+    assert not out.exists()
+
+
 def test_gainmap_bad_resolution_writes_no_manifest(tmp_path):
     cfg = write_config(tmp_path, STATIC)
     out = tmp_path / "out"
@@ -190,6 +205,15 @@ def test_gainmap_bad_resolution_writes_no_manifest(tmp_path):
 
 # ---------------------------------------------------------------------------
 # table files
+
+
+def test_importing_the_cli_leaves_the_table_writer_unloaded():
+    # The writer and its lookup tables load when a command writes, not at import.
+    src = str(Path(covrage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, covrage.cli; print('covrage.csvtext' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def cell(x):
@@ -214,7 +238,7 @@ def test_column_text_matches_per_cell_format(tmp_path):
     assert text(values) == [cell(x) for x in values]
     # The writer has one path for float columns holding NaN and one for the rest.
     for column in (values, values[~np.isnan(values)]):
-        cli.write_table(tmp_path / "t.csv", ["# head"], [column, ["a"] * len(column), np.arange(len(column))])
+        csvtext.write_table(tmp_path / "t.csv", ["# head"], [column, ["a"] * len(column), np.arange(len(column))])
         rows = (tmp_path / "t.csv").read_text().splitlines()
         assert rows == ["# head"] + [f"{cell(x)},a,{k}" for k, x in enumerate(column)]
 
@@ -253,7 +277,7 @@ def test_float_text_table_matches_percent():
 
 def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
     # Two full blocks and a short last one.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    monkeypatch.setattr(csvtext, "_BLOCK_ROWS", 150)
     n = 400
     index = np.arange(n)
     mcs = [-1 if k % 5 == 0 else k % 13 for k in range(n)]
@@ -261,7 +285,7 @@ def test_write_table_mixed_columns_across_block_edges(tmp_path, monkeypatch):
     gain = np.where(index % 4 == 1, np.nan, (index - 11.0) / 3.0)
     # A second float column, of other widths, is rendered in the same pass as the first.
     rate = np.where(index % 7 == 0, -0.0, (index - 200) * 1.5e7)
-    cli.write_table(tmp_path / "t.csv", ["# head", "a,b,c,d,e"], [index, gain, mcs, ablation, rate])
+    csvtext.write_table(tmp_path / "t.csv", ["# head", "a,b,c,d,e"], [index, gain, mcs, ablation, rate])
     want = ["# head", "a,b,c,d,e"] + [
         f"{k},{percent_text(gain[k])},{mcs[k]},{ablation[k]},{percent_text(rate[k])}" for k in range(n)
     ]
@@ -278,7 +302,7 @@ RECTANGULAR = dict(MOVING, array={"nx": 64, "ny": 32})
 
 def test_awv_csv_matches_per_cell_rendering(tmp_path, monkeypatch):
     # A rectangular array catches a transposed index; small blocks cross block edges.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(csvtext, "_BLOCK_ROWS", 1000)
     cfg = write_config(tmp_path, RECTANGULAR)
     out = tmp_path / "out"
     assert run("plan", "--config", cfg, "--out-dir", out) == 0
@@ -292,7 +316,7 @@ def test_awv_csv_matches_per_cell_rendering(tmp_path, monkeypatch):
 @pytest.mark.parametrize("resolution", [17, 33])
 def test_gainmap_csv_matches_per_cell_rendering(tmp_path, monkeypatch, resolution):
     # Odd resolutions put an exact 0 on the axis.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(csvtext, "_BLOCK_ROWS", 1000)
     cfg = write_config(tmp_path, RECTANGULAR)
     out = tmp_path / "out"
     assert run("gainmap", "--config", cfg, "--out-dir", out, "--resolution", resolution) == 0
@@ -442,6 +466,11 @@ def test_manifest_echo_resolves_defaults(tmp_path):
         (dict(REF_A, array={"spacing_wavelengths": 1e307}, strategy="baseline-start", n_samples=64),
          "array.spacing_wavelengths"),
         ({"array": {"nx": 10**400}}, "max(array.nx, array.ny)"),
+        # More elements than MAX_ELEMENTS: refused before the planner allocates them.
+        ({"array": {"nx": 10**12, "ny": 10**12}, "ap_direction_deg": [5, 0]}, "array.nx * array.ny"),
+        ({"array": {"nx": 2048, "ny": 2049}}, "array.nx * array.ny must be at most 4194304"),
+        # A NUL in the rate table's path, which the file system cannot open.
+        ({"mcs_table_path": "rates\0.csv"}, "embedded null byte"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, doc, needle):
@@ -634,6 +663,42 @@ def test_ablation_with_baseline_strategy_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(MOVING, strategy="baseline-mid"))
     assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out", "--ablation", "no_sync") == 2
     assert "ablation" in capsys.readouterr().err
+
+
+def test_array_past_the_element_ceiling_allocates_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(MOVING, array={"nx": 65536, "ny": 65536}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run("plan", "--config", cfg, "--out-dir", out) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == f"config error: array.nx * array.ny must be at most {MAX_ELEMENTS} (2048 x 2048)\n"
+    assert not out.exists()
+    # The ceiling itself loads.
+    assert scenario_of(write_config(tmp_path, dict(MOVING, array={"nx": 2048, "ny": 2048}))).array.nx == 2048
+
+
+def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"seed": 1' + "0" * 5000 + "}")
+    assert run("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "config error: integer of 5001 digits in config\n"
+
+
+def test_value_error_outside_the_model_domain_propagates(tmp_path, monkeypatch):
+    # Exit 3 is for model-domain errors: a plain ValueError is a defect and
+    # leaves main, so the console script exits 1 with a traceback.
+    def broken(plan, shifts=None):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(harness, "synthesize_plan", broken)
+    cfg = write_config(tmp_path, MOVING)
+    with pytest.raises(ValueError, match="broadcast"):
+        run("plan", "--config", cfg, "--out-dir", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_hemisphere_exit_is_model_error(tmp_path, capsys):

@@ -346,6 +346,13 @@ def test_gain_map_resolution_floor():
         gain_map(awv, 8, 0.5)
 
 
+@pytest.mark.parametrize("resolution", [15, 2049, 10**19])
+def test_gain_map_resolution_ceiling_shares_the_floor_message(resolution):
+    awv = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
+    with pytest.raises(ConfigError, match="^gain map resolution must be between 16 and 2048$"):
+        gain_map(awv, resolution, 0.5)
+
+
 def test_gain_map_each_sub_beam_peaks_at_its_center():
     # The composed four-beam pattern is a deliberately flat ridge, so the
     # constituent lobes are checked one beam at a time: each sub-array's own
