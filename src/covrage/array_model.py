@@ -376,10 +376,13 @@ def coefficient_grid(awv: Awv, u: np.ndarray, v: np.ndarray, spacing_wl: float) 
     """Receive coefficient on the tensor grid u x v; result indexed [u, v].
 
     The plane-wave offset separates per axis, so this is two small matrix
-    products rather than a sum per cell.
+    products rather than a sum per cell. A square array on a square grid
+    builds its one axis table once.
     """
     nx, ny = awv.shape
-    return _axis_phasors(nx, u, spacing_wl).T @ (awv.weights @ _axis_phasors(ny, v, spacing_wl))
+    eu = _axis_phasors(nx, u, spacing_wl)
+    ev = eu if nx == ny and np.array_equal(u, v) else _axis_phasors(ny, v, spacing_wl)
+    return eu.T @ (awv.weights @ ev)
 
 
 def peak_gain(awv: Awv, spacing_wl: float) -> tuple[float, UvPoint]:

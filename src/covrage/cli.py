@@ -4,9 +4,9 @@ Configs are JSON; angles in configs are degrees, radians internally. Every
 output file starts with a schema-version line. A command first computes
 everything it writes, then creates the output directory and writes the run
 manifest and its data files, so a config or model error leaves the directory
-as it was. The commands name the columns of their CSV tables, and
-``csvtext.write_table`` writes them. Identical invocations produce
-byte-identical files (no timestamps, fixed float formatting).
+as it was. The commands put numbers on lines and in CSV columns, and
+``csvtext`` renders them all but compare's fixed-width stdout table. Identical
+invocations produce byte-identical files and output (no timestamps).
 
 Exit codes: 0 success, 2 config errors (command-line mistakes, undecodable
 files, a fixed n_samples too small for its path and a config whose arrays do
@@ -43,13 +43,6 @@ from .harness import (
     sweep_trajectory,
 )
 from .link_budget import LinkParams, load_mcs_table
-
-
-def _fmt(x: float) -> str:
-    value = float(x)
-    if value == 0.0:
-        value = 0.0
-    return format(value, ".10g")
 
 
 def _finite(text: str) -> float:
@@ -212,7 +205,10 @@ def _start_run(
 ) -> Path:
     """Create the output directory and write its manifest, once the run's outputs are computed; return it."""
     out = Path(args.out_dir or os.environ.get("COVRAGE_OUT_DIR") or "covrage-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL in the path
+        raise ConfigError(f"{str(out)!r}: {exc}") from None
     doc = {
         "schema": "covrage-manifest-v1",
         "tool_version": __version__,
@@ -237,20 +233,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
     assert plan is not None
     phases = built.awv.phases()
     out = _start_run("plan", args, sc, mcs_path)
+    from .csvtext import grid, text, write_table
     layout = plan.layout
     print(f"beams: {plan.n_beams}")
     print(f"groups: {layout.n_sub} (interleave {layout.interleave_factor}, subdivisions {layout.subdivisions})")
-    print(f"sub-beam width: {_fmt(layout.beam_width)}")
-    print(f"trajectory: {len(plan.trajectory)} samples, length {_fmt(plan.trajectory.length)}")
+    print(f"sub-beam width: {text(layout.beam_width)}")
+    print(f"trajectory: {len(plan.trajectory)} samples, length {text(plan.trajectory.length)}")
     for k, (center, subs) in enumerate(zip(plan.beam_centers, plan.assignment)):
         ids = ",".join(str(s) for s in subs)
-        print(f"beam {k}: u={_fmt(center.u)} v={_fmt(center.v)} groups=[{ids}]")
+        print(f"beam {k}: u={text(center.u)} v={text(center.v)} groups=[{ids}]")
     for k, pt in enumerate(plan.overlap_points):
-        print(f"overlap {k}: u={_fmt(pt.u)} v={_fmt(pt.v)}")
+        print(f"overlap {k}: u={text(pt.u)} v={text(pt.v)}")
     for k, shift in enumerate(plan.sync_shifts):
-        print(f"shift {k}: phase_rad={_fmt(np.angle(shift))}")
+        print(f"shift {k}: phase_rad={text(np.angle(shift))}")
     print(f"extrapolated: {'yes' if plan.extrapolated else 'no'}")
-    from .csvtext import grid, write_table
     labels = grid(*map(np.arange, phases.shape))
     write_table(out / "awv.csv", ["# covrage-awv-v1", "x,y,phase_rad"], [*labels, phases.ravel()])
     return 0
@@ -278,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "min_datarate_mbps": res.min_datarate_mbps,
     }
     out = _start_run("sweep", args, sc, mcs_path)
-    from .csvtext import write_table
+    from .csvtext import text, write_table
     uv, mcs = built.trajectory.uv, res.mcs
     header = ["# covrage-sweep-v1", "index,u,v,gain_dbi,noise_penalty_db,rx_power_dbm,mcs_index,datarate_mbps"]
     write_table(out / "sweep.csv", header, [
@@ -287,8 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ])
     _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(
-        f"sweep: {len(built.trajectory)} samples, gain range {_fmt(res.gain_range_db)} dB, "
-        f"min rate {_fmt(res.min_datarate_mbps)} Mbps"
+        f"sweep: {len(built.trajectory)} samples, gain range {text(res.gain_range_db)} dB, "
+        f"min rate {text(res.min_datarate_mbps)} Mbps"
     )
     return 0
 
@@ -298,8 +294,8 @@ def cmd_gainmap(args: argparse.Namespace) -> int:
     built = build_beam(sc)
     gmap = gain_map(built.awv, args.resolution, sc.array.spacing_wavelengths)
     out = _start_run("gainmap", args, sc, mcs_path, {"resolution": args.resolution})
-    from .csvtext import grid, write_table
-    header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={_fmt(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
+    from .csvtext import grid, text, write_table
+    header = ["# covrage-gainmap-v1", f"# display_clamp_dbi={text(DISPLAY_CLAMP_DBI)}", "i,j,u,v,gain_dbi"]
     index, axis = np.arange(gmap.resolution), gmap.axis
     write_table(out / "gainmap.csv", header, [*grid(index, index), *grid(axis, axis), gmap.gain_dbi.ravel()])
     print(f"gainmap: {gmap.resolution}x{gmap.resolution} cells")

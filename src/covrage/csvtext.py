@@ -1,13 +1,13 @@
-"""CSV tables: header lines, then one comma-separated row per entry, written in blocks.
+"""Number text: ``text`` renders one number as covrage prints it, ``write_table`` a CSV table.
 
-``write_table`` writes them and ``cells`` renders them. A cell is its bytes
-left-aligned in a fixed-width slot and padded with NUL, which no cell holds;
-a block of rows is the columns' slot matrices joined by commas and newlines,
-written with the NULs removed. Floats are ``'%.10g'`` of ``x + 0.0`` and NaN
-is ``out``. Only the fixed form (decimal exponent -4 to 9) is vectorised; the
-exponent form (``1.5e-05``) is rare in the data files and takes ``%``. The
-commands import this module when they write, so that importing the CLI
-neither compiles it nor builds its lookup tables.
+A number is ``'%.10g'`` of ``x + 0.0`` (-0 is ``0``) and NaN is ``out``. A
+table is header lines, then one comma-separated row per entry, in blocks. A
+cell is its bytes left-aligned in a fixed-width slot and padded with NUL,
+which no cell holds; a block is the columns' slot matrices joined by commas
+and newlines, written with the NULs removed. ``cells`` vectorises only the
+fixed form (decimal exponent -4 to 9); the exponent form (``1.5e-05``) is
+rare and takes ``text``. The commands import this module when they print or
+write, so that importing the CLI neither compiles it nor builds its tables.
 """
 
 from __future__ import annotations
@@ -30,8 +30,13 @@ _FLOAT_CHUNK = 1 << 14
 _BLOCK_ROWS = 1 << 16
 
 
-def _bytes_le(text: str) -> int:
-    return int.from_bytes(text.encode(), "little")
+def text(x: float) -> str:
+    """One number as covrage prints and writes it: ``'%.10g' % (x + 0.0)``, or ``out`` for NaN."""
+    return "out" if np.isnan(x) else "%.10g" % (x + 0.0)
+
+
+def _bytes_le(s: str) -> int:
+    return int.from_bytes(s.encode(), "little")
 
 
 def _span(start: int, stop: int) -> int:
@@ -96,7 +101,7 @@ _TABLES = _Tables()
 
 
 def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.10g' % (x + 0.0)`` of every float, or ``out`` for NaN, as NUL-padded cells.
+    """``text`` of every float as NUL-padded cells.
 
     Returns ``(cells, length)``: an ``(n, 3)`` uint64 array whose rows, read
     as bytes, are the left-aligned text, and each text's length.
@@ -118,7 +123,7 @@ def _render_floats(x: np.ndarray, cells: np.ndarray, length: np.ndarray) -> None
     power of ten, so it carries two roundings of half an ulp each: its error
     is at most 10**10 * 2**-53 + 2**-20 < 2.1e-6, as M < 2**34. A cell whose M
     lies within ``_TIE_WINDOW`` of a half-integer could round either way, so
-    it is formatted by ``%`` instead. So is every cell outside 1e-5 <= |x| <
+    it is rendered by ``text`` instead. So is every cell outside 1e-5 <= |x| <
     1e10, where the fixed form cannot occur, or whose rounded exponent lies
     outside -4 to 9. NaN and zeros have fixed texts.
     """
@@ -134,7 +139,7 @@ def _render_floats(x: np.ndarray, cells: np.ndarray, length: np.ndarray) -> None
     m = t.pow10[j]
     m *= a
     # log10 can floor to a neighbouring exponent next to a power of ten (at
-    # 1e-5, to j = -1, which reads the last scale): such a cell takes '%'.
+    # 1e-5, to j = -1, which reads the last scale): such a cell takes ``text``.
     bad = np.flatnonzero((m < 1e9) | (m >= 1e10))
     fast[bad] = False
     m[bad] = 1e9
@@ -183,16 +188,16 @@ def _render_floats(x: np.ndarray, cells: np.ndarray, length: np.ndarray) -> None
     cells[:, 1] |= lo >> (_U64(64) - shift)
     cells[:, 1] |= pre_hi[key]
     np.take(length_of_key, key, out=length)
-    # NaN and zeros have fixed texts; the other slow cells take '%'.
+    # NaN and zeros have fixed texts; the other slow cells take ``text``.
     rows = np.flatnonzero(~fast)
     nan, zero = np.isnan(x[rows]), x[rows] == 0.0
-    for hit, text in ((nan, "out"), (zero, "0")):
-        cells[rows[hit]] = (_bytes_le(text), 0, 0)
-        length[rows[hit]] = len(text)
+    for hit, fixed in ((nan, "out"), (zero, "0")):
+        cells[rows[hit]] = (_bytes_le(fixed), 0, 0)
+        length[rows[hit]] = len(fixed)
     rows = rows[~(nan | zero)]
-    text = ["%.10g" % v for v in x[rows].tolist()]
-    cells[rows] = np.array(text, dtype=f"S{_FLOAT_CELL}").view(_U64).reshape(-1, 3)
-    length[rows] = [len(t) for t in text]
+    slow = [text(v) for v in x[rows].tolist()]
+    cells[rows] = np.array(slow, dtype=f"S{_FLOAT_CELL}").view(_U64).reshape(-1, 3)
+    length[rows] = [len(t) for t in slow]
 
 
 def cells(parts: list[np.ndarray]) -> list[np.ndarray]:

@@ -31,6 +31,8 @@ from .errors import HemisphereError, InvalidUvError
 
 _UNIT_TOL = 1e-9
 _ZERO_TOL = 1e-12
+# Unit-disc slack: a point with u*u + v*v up to 1 + DISC_SLACK counts as inside.
+DISC_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class UvPoint:
 
     def __post_init__(self) -> None:
         # Written as "not inside" so that NaN is rejected too.
-        if not self.u * self.u + self.v * self.v <= 1.0 + 1e-12:
+        if not self.u * self.u + self.v * self.v <= 1.0 + DISC_SLACK:
             raise InvalidUvError(f"({self.u}, {self.v}) is not a point of the unit disc")
 
 
@@ -126,7 +128,7 @@ class Trajectory:
         if uv.ndim != 2 or uv.shape[1] != 2 or len(uv) == 0:
             raise ValueError(f"trajectory needs one or more (u, v) rows, got shape {uv.shape}")
         # Written as "not inside" so that a NaN row is rejected too.
-        outside = np.nonzero(~(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] <= 1.0 + 1e-12))[0]
+        outside = np.nonzero(~(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] <= 1.0 + DISC_SLACK))[0]
         if outside.size:
             u, v = uv[outside[0]].tolist()
             raise InvalidUvError(f"trajectory row {outside[0]} ({u}, {v}) is not a point of the unit disc")

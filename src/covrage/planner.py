@@ -42,6 +42,7 @@ from .array_model import (
 )
 from .errors import ConfigError, SampleSpacingError
 from .geometry import (
+    DISC_SLACK,
     Quaternion,
     Trajectory,
     UvPoint,
@@ -255,7 +256,7 @@ def cover_points(trajectory: Trajectory, half_width: float, *, delayed_first: bo
                 k = j - n + 1
                 x = lx + k * sx
                 y = ly + k * sy
-                if k > reach or not x * x + y * y <= 1.0 + COVERAGE_SLACK:
+                if k > reach or not x * x + y * y <= 1.0 + DISC_SLACK:
                     break
             dx = x - ax
             dy = y - ay

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covrage import array_model
 from covrage.array_model import (
     ArrayConfig,
     Awv,
@@ -169,6 +170,23 @@ def test_coefficient_grid_matches_points():
         for j in (0, 5, 10):
             want = coefficient_points(awv, np.array([ug[i]]), np.array([vg[j]]), 0.5)[0]
             assert grid[i, j] == pytest.approx(want, abs=1e-9)
+
+
+def test_coefficient_grid_builds_a_square_grid_s_axis_table_once(monkeypatch):
+    # A square array on equal axes reads one table for both; other axes or a
+    # rectangular array build two. Either way the bits are the two-table product.
+    real = array_model._axis_phasors
+    calls = []
+    monkeypatch.setattr(array_model, "_axis_phasors", lambda n, c, d: calls.append(n) or real(n, c, d))
+    rng = np.random.default_rng(27)
+    square, wide = random_awv(rng, 6, 6), random_awv(rng, 6, 5)
+    axis = np.linspace(-1.0, 1.0, 9)
+    for awv, v, count in ((square, axis.copy(), 1), (square, axis[::-1], 2), (wide, axis, 2)):
+        calls.clear()
+        got = coefficient_grid(awv, axis, v, 0.5)
+        assert len(calls) == count
+        nx, ny = awv.shape
+        assert np.array_equal(got, real(nx, axis, 0.5).T @ (awv.weights @ real(ny, v, 0.5)))
 
 
 def test_coefficient_periodicity_in_sine_space():

@@ -236,6 +236,8 @@ EDGES = [-0.0, float("nan"), 5e-324, 1e-300, 1e16, 3.0, math.pi, -math.pi, 0.0, 
 def test_column_text_matches_per_cell_format(tmp_path):
     values = np.concatenate([EDGES, np.random.default_rng(4).standard_normal(500) * 10.0 ** np.arange(-250, 250)])
     assert text(values) == [cell(x) for x in values]
+    # A printed number is its cell.
+    assert [csvtext.text(x) for x in values] == text(values)
     # The writer has one path for float columns holding NaN and one for the rest.
     for column in (values, values[~np.isnan(values)]):
         csvtext.write_table(tmp_path / "t.csv", ["# head"], [column, ["a"] * len(column), np.arange(len(column))])
@@ -379,6 +381,28 @@ def test_compare_never_searches_the_peak(tmp_path, monkeypatch, capsys):
     expected = golden / "a" / "compare"
     assert (out / "compare.csv").read_bytes() == (expected / "compare.csv").read_bytes()
     assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
+
+
+def test_compare_keeps_one_dense_awv_alive(tmp_path, capsys):
+    # compare keeps each variant's statistics and drops its weights before the
+    # next variant is built, so its peak is iter_strategies' own bound: a
+    # bounded multiple of one dense weight vector plus the shared path phasors.
+    # Holding the previous variant's weights one row longer adds one more.
+    n = 512
+    cfg = write_config(tmp_path, {"array": {"nx": n, "ny": n}, "orientation_end_euler_deg": [5.0, 0.0, 0.0],
+                                  "ap_direction_uv": [0.0, 0.0], "n_samples": 256})
+    dense = n * n * 16
+    phasors = 2 * n * 256 * 16
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        code = run("compare", "--config", cfg, "--out-dir", tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert peak - base <= 3 * dense + phasors
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +650,26 @@ def test_command_line_errors_are_one_line(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,doc,status",
+    [
+        (("plan",), None, 2),
+        (("gainmap", "--resolution", "4096"), {"array": {"nx": 8, "ny": 8}, "ap_direction_deg": [5, 0]}, 2),
+        (("plan",), {"array": {"nx": 8, "ny": 8}, "orientation_end_euler_deg": [143, 0, 0],
+                     "ap_direction_deg": [0, 0]}, 3),
+    ],
+    ids=["no-config", "resolution-past-2048", "turn-out-of-hemisphere"],
+)
+def test_console_script_exits_with_one_stderr_line(tmp_path, covrage_script, argv, doc, status):
+    # The installed entry point turns main's return value into its exit status.
+    if doc is not None:
+        argv = (*argv, "--config", str(write_config(tmp_path, doc)), "--out-dir", str(tmp_path / "out"))
+    result = subprocess.run([covrage_script, *argv], capture_output=True, text=True, check=False)
+    assert result.returncode == status
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_must_be_non_negative(tmp_path, capsys):
     cfg = write_config(tmp_path, MOVING)
     assert run("compare", "--config", cfg, "--out-dir", tmp_path / "out", "--seed", "-1") == 2
@@ -657,6 +701,15 @@ def test_invalid_json_exits_two(tmp_path, capsys):
 def test_missing_config_exits_two(tmp_path, capsys):
     assert run("sweep", "--config", tmp_path / "absent.json", "--out-dir", tmp_path / "out") == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_out_dir_with_a_nul_exits_two(tmp_path, capsys):
+    # No file system takes a NUL: a shell cannot pass one, but a caller of main can.
+    cfg = write_config(tmp_path, STATIC)
+    out = tmp_path / "new" / "a\0b"
+    assert run("plan", "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"config error: {str(out)!r}: embedded null byte\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_ablation_with_baseline_strategy_exits_two(tmp_path, capsys):

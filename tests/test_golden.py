@@ -16,7 +16,9 @@ Both sides pass through one transform, ``_portable``:
   ``awv.csv`` (262,144 rows) is that large.
 
 A mismatch names the file, its first differing line and both lines; for a
-digest listing that line names the row range.
+digest listing that line names the row range. The same check runs ``main`` in
+process and the installed ``covrage`` console script; the script's test skips
+when no ``covrage`` is on PATH.
 
 To recapture after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root; it
@@ -27,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -63,14 +66,19 @@ def _portable(name: str, data: bytes) -> tuple[str, bytes]:
     return f"{name}.sha256", "".join(listing).encode()
 
 
-def _run(config: Path, command: str, out: Path) -> tuple[int, dict[str, bytes]]:
-    """Run one command; return its exit code and the committed form of its files plus stdout."""
-    argv = [command, "--config", str(config), "--out-dir", str(out)]
+def _in_process(argv: list[str]) -> tuple[int, bytes]:
+    """``main`` called in this process: its exit code and standard output."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(argv + list(COMMANDS[command]))
+        code = main(argv)
+    return code, stdout.getvalue().encode()
+
+
+def _run(config: Path, command: str, out: Path, invoke=_in_process) -> tuple[int, dict[str, bytes]]:
+    """Run one command; return its exit code and the committed form of its files plus stdout."""
+    code, stdout = invoke([command, "--config", str(config), "--out-dir", str(out), *COMMANDS[command]])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    files["stdout.txt"] = stdout.getvalue().encode()
+    files["stdout.txt"] = stdout
     return code, dict(_portable(name, data) for name, data in files.items())
 
 
@@ -80,16 +88,32 @@ def _first_difference(label: str, got: bytes, want: bytes) -> str:
     return f"{label} line {k + 1}: got {got_lines[k]!r}, golden {want_lines[k]!r}"
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("ref", REFS)
-def test_cli_output_matches_golden(tmp_path, ref, command):
-    code, got = _run(GOLDEN / f"ref_{ref}.json", command, tmp_path / "out")
+def _assert_matches_golden(tmp_path: Path, ref: str, command: str, invoke) -> None:
+    code, got = _run(GOLDEN / f"ref_{ref}.json", command, tmp_path / "out", invoke)
     assert code == 0
     expected_dir = GOLDEN / ref / command
     expected = {p.name: p.read_bytes() for p in sorted(expected_dir.iterdir())}
     assert sorted(got) == sorted(expected)
     for name, data in expected.items():
         assert got[name] == data, _first_difference(f"{ref}/{command}/{name}", got[name], data)
+
+
+each_output = pytest.mark.parametrize("ref,command", [(r, c) for r in REFS for c in sorted(COMMANDS)])
+
+
+@each_output
+def test_cli_output_matches_golden(tmp_path, ref, command):
+    _assert_matches_golden(tmp_path, ref, command, _in_process)
+
+
+@each_output
+def test_console_script_output_matches_golden(tmp_path, covrage_script, ref, command):
+    # The installed entry point, in its own process, writes the same bytes.
+    def invoke(argv):
+        result = subprocess.run([covrage_script, *argv], capture_output=True, check=False)
+        return result.returncode, result.stdout
+
+    _assert_matches_golden(tmp_path, ref, command, invoke)
 
 
 def _recapture() -> None:

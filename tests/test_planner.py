@@ -22,7 +22,7 @@ from covrage.array_model import (
     steering_weights,
 )
 from covrage.errors import ConfigError
-from covrage.geometry import Quaternion, Trajectory, UvPoint, hamilton_product, sample_trajectory
+from covrage.geometry import DISC_SLACK, Quaternion, Trajectory, UvPoint, hamilton_product, sample_trajectory
 from covrage.planner import (
     COVERAGE_SLACK,
     EXTRAPOLATION_CAP_FACTOR,
@@ -302,6 +302,17 @@ def test_cover_extension_stops_at_unit_disc():
         assert c.u * c.u + c.v * c.v <= 1.0 + 1e-9
 
 
+def test_cover_extension_stops_at_the_disc_uv_points_accept(monkeypatch):
+    # The extension stop and UvPoint share one unit-disc slack, so a wider
+    # coverage slack cannot let the walk lock a centre UvPoint rejects. This
+    # radial path's last step is 1e-9, so its extension creeps past the rim.
+    monkeypatch.setattr(planner, "COVERAGE_SLACK", 1e-6)
+    u = [*np.linspace(0.96025, 1.0 - 2e-8, 400), 1.0 - 1.9e-8]
+    res = cover_points(Trajectory([(x, 0.0) for x in u]), 0.02)
+    assert res.extrapolated
+    assert all(c.u * c.u + c.v * c.v <= 1.0 + DISC_SLACK for c in res.centers)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 10_000))
 def test_cover_random_arcs_every_sample_covered(seed):
@@ -444,7 +455,7 @@ def reference_cover_points(trajectory: Trajectory, half_width: float, *, delayed
                 if not has_step or k >= max_extension:
                     break
                 cand = (pts[-1][0] + (k + 1) * step_x, pts[-1][1] + (k + 1) * step_y)
-                if cand[0] * cand[0] + cand[1] * cand[1] > 1.0 + COVERAGE_SLACK:
+                if cand[0] * cand[0] + cand[1] * cand[1] > 1.0 + DISC_SLACK:
                     break
                 is_extension = True
             if not near(cand, anchor):

@@ -83,3 +83,22 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if in_src[name] == _identifiers(node)[name] and not re.search(rf"\b{name}\b", outside)
     ]
     assert unused == []
+
+
+def test_cli_leaves_number_text_to_csvtext():
+    # csvtext renders every number covrage prints or writes, by one rule; cli
+    # only picks which number goes on which line. Compare's fixed-width table
+    # on stdout is the one place cli formats a number itself.
+    tree = ast.parse((Path(covrage.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert not re.search(r"%[-+ #0]*\d*(\.\d+)?[eEfFgG]|\.10g", node.value), node.value
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id != "format"
+    specs = {
+        (fn.name, "".join(v.value for v in node.format_spec.values))
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    floats = sorted((name, spec) for name, spec in specs if spec[-1:] in tuple("eEfFgGn%"))
+    assert floats == [("cmd_compare", ">10.1f"), ("cmd_compare", ">10.3f")]
