@@ -7,7 +7,7 @@ element (0, 0). Conjugating that offset element-for-element steers the array;
 summing weight times offset over the aperture gives the receive coefficient,
 and ``10 log10 |C|^2`` the gain in dBi.
 
-The offset is written in two forms. At one point it is the conjugate of the
+The offset is written in three forms. At one point it is the conjugate of the
 steering weights toward that point; ``steering_stack`` steers many points in
 one pass, and ``array_coefficient`` sums weights times the conjugate of the
 steerings its caller passes, grid by grid over stacks, so one steering serves
@@ -15,10 +15,12 @@ several weight vectors. On many points it separates into per-axis phasors,
 ``exp(-2j pi d x u)`` and in y, which ``path_phasors`` and ``coefficient_grid``
 contract with the weights; ``path_coefficients`` does so by two products,
 the longer axis first, in the order that keeps the bits of numpy's planned
-three-operand contraction without its per-call path search. Where bits must
-not move, an operand of numpy's vectorised complex multiply is bound to a
-name: an unnamed temporary is multiplied in place, which rounds differently,
-as can swapped operands.
+three-operand contraction without its per-call path search. At one element
+it is a scalar: a group steered in its own coordinates keeps its origin
+element's offset, which ``compose_full_awv`` cancels at the beam's centre
+with that origin's phasor. Where bits must not move, an operand of numpy's
+vectorised complex multiply is bound to a name: an unnamed temporary is
+multiplied in place, which rounds differently, as can swapped operands.
 
 Sub-array layouts assign every physical element to exactly one group and give it
 local coordinates inside that group. Interleaving takes every sqrt(M)-th element,
@@ -58,6 +60,8 @@ PEAK_GRID = 512
 # Floor under sweep and gain-map gains: far below anything a plot would show,
 # but finite so downstream arithmetic stays total.
 GAIN_FLOOR_DBI = -40.0
+
+UNIT_TOLERANCE = 1e-9  # most a unit weight's or shift's magnitude may stray from 1
 
 
 def floored_gain_dbi(power: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ class Awv:
         if w.ndim != 2:
             raise ValueError("weights must be a 2-D grid")
         mag = np.abs(w)
-        if not np.allclose(mag, 1.0, atol=1e-9, rtol=0.0):
+        if not np.allclose(mag, 1.0, atol=UNIT_TOLERANCE, rtol=0.0):
             worst = float(np.abs(mag - 1.0).max())
             raise ValueError(f"analog weights must have unit magnitude (drift {worst:.2e})")
         w.setflags(write=False)
@@ -282,26 +286,37 @@ def beamwidth_angular(n_side: int, spacing_wl: float, alpha: float) -> float:
     return HALF_POWER_CONSTANT / (n_side * spacing_wl * c)
 
 
-def compose_full_awv(beams: np.ndarray, beam_of, shifts, layout: SubArrayLayout) -> Awv:
-    """Assemble the full weight vector from a stack of beam weights and per-group unit shifts.
+def compose_full_awv(beams: np.ndarray, assignment, centers: Sequence[UvPoint], shifts, layout: SubArrayLayout) -> Awv:
+    """Full weight vector from beams, their groups, centres and unit shifts.
 
-    ``beams[b]`` holds beam b's group-local weights, unit-magnitude as
-    ``steering_stack`` makes them; group k takes beam ``beam_of[k]``. Element
-    (x, y) receives ``shifts[k] * beams[beam_of[k]][local coords]`` where k is
-    its owning group. Shift magnitudes must be 1: analog weights cannot scale.
+    ``beams[b]``, group-local weights steered at ``centers[b]``, drive the
+    groups ``assignment[b]``; each group takes exactly one beam. Group k of beam
+    b gets ``shifts[b] * o_k * beams[b]``: ``o_k = exp(2j pi d (ox u + oy v))``
+    at the centre cancels its origin's offset. Analog weights cannot scale.
     """
-    if len(beam_of) != layout.n_sub or len(shifts) != layout.n_sub:
-        raise ValueError(f"layout has {layout.n_sub} groups; got {len(beam_of)} beam indices and {len(shifts)} shifts")
-    shifts = np.asarray(shifts, dtype=complex)
+    n, sx, sy = layout.n_sub, layout.side_x, layout.side_y
+    if beams.shape[1:] != (sx, sy) or not len(beams) == len(assignment) == len(centers) == len(shifts):
+        got = f"got {len(assignment)}, {len(centers)} and {len(shifts)} for beams shaped {beams.shape}"
+        raise ValueError(f"layout has {n} groups of {sx}x{sy}; expected {len(beams)} group sets, centres, shifts; {got}")
+    if sorted(g for subs in assignment for g in subs) != list(range(n)):
+        raise ValueError(f"layout has {n} groups; the assignment must give each exactly one beam")
+    # Scalar math.cos/sin: numpy's SIMD kernels round differently.
+    scale = 2.0 * math.pi * layout.config.spacing_wavelengths
+    beam_of = [0] * n
+    sub_shifts = [0j] * n
+    for b, (subs, center, shift) in enumerate(zip(assignment, centers, shifts)):
+        for g in subs:
+            ox, oy = layout.origin(g)
+            arg = scale * (ox * center.u + oy * center.v)
+            beam_of[g] = b
+            sub_shifts[g] = shift * complex(math.cos(arg), math.sin(arg))
+    sub_shifts = np.asarray(sub_shifts, dtype=complex)
     # Written as "not within" so that NaN and infinite shifts are rejected too.
-    if not (np.abs(np.abs(shifts) - 1.0) <= 1e-9).all():
-        raise ValueError("group-level shifts must be unit phasors")
-    if beams.shape[1:] != (layout.side_x, layout.side_y):
-        raise ValueError(f"group weights must be {layout.side_x}x{layout.side_y}; got {beams.shape[1]}x{beams.shape[2]}")
+    if not (np.abs(np.abs(sub_shifts) - 1.0) <= UNIT_TOLERANCE).all():
+        raise ValueError("beam shifts must be unit phasors")
     stacked = beams[np.asarray(beam_of, dtype=np.intp)]
-    # The shift stays the left operand: numpy's vectorised complex multiply
-    # can round differently when its operands swap.
-    np.multiply(shifts[:, None, None], stacked, out=stacked)
+    # The shift stays the left operand: swapped operands can round differently.
+    np.multiply(sub_shifts[:, None, None], stacked, out=stacked)
     return Awv._trusted(layout.scatter(stacked))
 
 

@@ -13,10 +13,9 @@ Each of those three steps is one array pass over all beams: the beam centres
 are steered as one stack ``[beam, x, y]``, the overlap points as a second stack
 that lives only for the sync, and composition indexes the first stack per group.
 
-Phase alignment compares group coefficients in group-local coordinates; the
-physical origin offset of each group is cancelled separately by a per-group
-correction phasor at composition time, which is what makes several groups
-aimed at one direction add up exactly like the undivided aperture.
+Phase alignment compares group coefficients in group-local coordinates;
+``array_model.compose_full_awv`` cancels each group's origin offset at its
+beam's centre, so groups aimed at one direction add up like the full aperture.
 
 Everything here is deterministic and pure; plans for independent inputs can be
 computed concurrently.
@@ -412,31 +411,16 @@ def synthesize_plan(plan: BeamPlan, shifts: Sequence[complex] | None = None) -> 
 
     The plan's own shifts are never read; the returned plan carries the ones
     composed with. ``shifts``, one unit phasor per beam, the first included,
-    replaces the computed sync (compose_full_awv rejects one that is not unit).
+    replaces the computed sync (compose_full_awv checks their count and units).
     """
     layout = plan.layout
-    centers = plan.beam_centers
-    beams = steering_stack((layout.side_x, layout.side_y), layout.spacing_wl, centers)
+    beams = steering_stack((layout.side_x, layout.side_y), layout.spacing_wl, plan.beam_centers)
     if shifts is not None:
         shifts = tuple(complex(v) for v in shifts)
-        if len(shifts) != len(centers):
-            raise ValueError(f"expected {len(centers)} shifts, got {len(shifts)}")
         skipped: tuple[int, ...] = ()
     else:
         shifts, skipped = phase_sync(beams, plan.overlap_points, layout)
-
-    # Each shift also removes the plane-wave phase of the group's origin toward
-    # its beam's centre, on math.cos/sin: numpy's SIMD kernels round differently.
-    scale = 2.0 * math.pi * layout.config.spacing_wavelengths
-    beam_of = [0] * layout.n_sub
-    sub_shifts = [0j] * layout.n_sub  # an unassigned group fails compose's unit check
-    for b, (subs, center, shift) in enumerate(zip(plan.assignment, centers, shifts)):
-        for g in subs:
-            ox, oy = layout.origin(g)
-            arg = scale * (ox * center.u + oy * center.v)
-            beam_of[g] = b
-            sub_shifts[g] = shift * complex(math.cos(arg), math.sin(arg))
-    awv = compose_full_awv(beams, beam_of, sub_shifts, layout)
+    awv = compose_full_awv(beams, plan.assignment, plan.beam_centers, shifts, layout)
     return awv, replace(plan, sync_shifts=shifts, sync_skipped=skipped)
 
 

@@ -1,6 +1,7 @@
 """Array pattern math against a brute-force element-sum oracle."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,11 +29,13 @@ from covrage.array_model import (
     path_phasors,
     peak_gain,
     quantize_phases,
+    steering_stack,
     steering_weights,
 )
 from covrage.errors import ConfigError
 from covrage.geometry import UvPoint, uv_to_euler
-from covrage.harness import gain_map
+from covrage.harness import gain_map, reference_scenario
+from covrage.planner import plan_geometry, plan_trajectory, synthesize_plan
 
 # ---------------------------------------------------------------------------
 # Oracle: the coefficient as a literal double loop over elements. An incoming
@@ -485,34 +488,83 @@ def origin_phase_correction(layout: SubArrayLayout, k: int, direction: UvPoint) 
     return complex(math.cos(arg), math.sin(arg))
 
 
+def one_beam_per_group(rng: np.random.Generator, layout: SubArrayLayout):
+    """Random beam weights, centres and unit shifts, beam k driving group k alone.
+
+    Returns the compose arguments and each group's expected shift: its beam's
+    shift times ``origin_phase_correction``, multiplied as Python complexes.
+    """
+    n = layout.n_sub
+    subs = [random_awv(rng, layout.side_x, layout.side_y) for _ in range(n)]
+    centers = [random_uv(rng, 0.9) for _ in range(n)]
+    shifts = np.exp(2j * np.pi * rng.uniform(size=n)).tolist()
+    group_shifts = [shifts[k] * origin_phase_correction(layout, k, centers[k]) for k in range(n)]
+    beams = np.stack([sub.weights for sub in subs])
+    return (beams, tuple((k,) for k in range(n)), centers, shifts), subs, group_shifts
+
+
 def test_compose_full_awv_scatter_oracle():
     rng = np.random.default_rng(27)
     layout = partition_interleaved(ArrayConfig(), 4)
-    subs = [random_awv(rng, 16, 16) for _ in range(4)]
-    shifts = np.exp(2j * np.pi * rng.uniform(size=4))
-    full = compose_full_awv(np.stack([sub.weights for sub in subs]), range(4), shifts, layout)
+    args, subs, group_shifts = one_beam_per_group(rng, layout)
+    full = compose_full_awv(*args, layout)
     sub_index, local_x, local_y, _ = element_images(layout)
     for x in range(0, 32, 5):
         for y in range(0, 32, 7):
             k = sub_index[x, y]
             lx, ly = local_x[x, y], local_y[x, y]
-            assert full.weights[x, y] == pytest.approx(shifts[k] * subs[k].weights[lx, ly], abs=1e-12)
+            assert full.weights[x, y] == pytest.approx(group_shifts[k] * subs[k].weights[lx, ly], abs=1e-12)
 
 
 def test_compose_full_awv_validation():
     layout = partition_interleaved(ArrayConfig(), 4)
     sub = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
+    every_group = ((0, 1, 2, 3),)
     with pytest.raises(ValueError):
-        compose_full_awv(sub.weights[None], [0] * 3, [1.0] * 3, layout)
+        compose_full_awv(sub.weights[None], every_group, [UvPoint(0.0, 0.0)], [1.0, 1.0], layout)
     with pytest.raises(ValueError):
-        compose_full_awv(sub.weights[None], [0] * 4, [1.0, 1.0, 1.0, 0.5], layout)
+        compose_full_awv(sub.weights[None], every_group, [UvPoint(0.0, 0.0)], [0.5], layout)
 
 
 def test_compose_full_awv_rejects_wrong_group_shape():
     layout = partition_interleaved(ArrayConfig(), 4)
     sub = steering_weights((17, 16), 0.5, UvPoint(0.0, 0.0))
     with pytest.raises(ValueError, match="16x16"):
-        compose_full_awv(sub.weights[None], [0] * 4, [1.0] * 4, layout)
+        compose_full_awv(sub.weights[None], ((0, 1, 2, 3),), [UvPoint(0.0, 0.0)], [1.0], layout)
+    # One grid, not a stack of them: its message used to fail on beams.shape[2].
+    sub = steering_weights((16, 16), 0.5, UvPoint(0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^layout has 4 groups of 16x16;"):
+        compose_full_awv(sub.weights, ((0, 1, 2, 3),), [UvPoint(0.0, 0.0)], [1.0], layout)
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [((0, 1), (1,), (2,), (3,)), ((0,), (1,), (2,), ()), ((0,), (1,), (2,), (3, 9)), ((0,), (1,), (2,), (-1, 3))],
+    ids=["twice", "unassigned", "out-of-range", "negative"],
+)
+def test_composition_rejects_an_assignment_that_is_not_one_beam_per_group(assignment):
+    # Reference a's plan, one beam per group, with its assignment replaced. A
+    # group given to two beams took the later beam's weights silently, and a
+    # group with no beam or past the layout failed with an unrelated error.
+    sc = reference_scenario("a")
+    traj = plan_trajectory(sc.orientation_start, sc.orientation_end, sc.ap_direction, sc.array)
+    plan = plan_geometry(traj, sc.array)
+    assert plan.assignment == ((0,), (1,), (2,), (3,))
+    with pytest.raises(ValueError, match=r"^layout has 4 groups\b"):
+        synthesize_plan(dataclasses.replace(plan, assignment=assignment))
+
+
+def test_unit_tolerance_edge_is_shared_by_weights_and_shifts():
+    assert array_model.UNIT_TOLERANCE == 1e-9
+    Awv(np.full((2, 2), 1.0 + 5e-10, dtype=complex))
+    with pytest.raises(ValueError, match="unit magnitude"):
+        Awv(np.full((2, 2), 1.0 + 2e-9, dtype=complex))
+    layout = partition_interleaved(ArrayConfig(), 4)
+    beam = steering_stack((16, 16), layout.spacing_wl, [UvPoint(0.0, 0.0)])
+    args = (beam, ((0, 1, 2, 3),), [UvPoint(0.0, 0.0)])
+    compose_full_awv(*args, [1.0 + 5e-10], layout)
+    with pytest.raises(ValueError, match="unit phasors"):
+        compose_full_awv(*args, [1.0 + 2e-9], layout)
 
 
 @LAYOUT_SHAPES
@@ -520,20 +572,18 @@ def test_compose_full_awv_rejects_wrong_group_shape():
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_compose_full_awv_equals_element_scatter(mi, depth, data, seed):
     layout = data.draw(layouts(mi, depth))
-    rng = np.random.default_rng(seed)
-    subs = [random_awv(rng, layout.side_x, layout.side_y) for _ in range(layout.n_sub)]
-    shifts = np.exp(2j * np.pi * rng.uniform(size=layout.n_sub))
+    args, subs, group_shifts = one_beam_per_group(np.random.default_rng(seed), layout)
     m = layout.stride
     shift_at = np.zeros((layout.config.nx, layout.config.ny), dtype=complex)
     weight_at = np.zeros_like(shift_at)
     for k, (ox, oy) in enumerate(chained_origins(layout)):
         for lx in range(layout.side_x):
             for ly in range(layout.side_y):
-                shift_at[ox + m * lx, oy + m * ly] = shifts[k]
+                shift_at[ox + m * lx, oy + m * ly] = group_shifts[k]
                 weight_at[ox + m * lx, oy + m * ly] = subs[k].weights[lx, ly]
     # One numpy multiply forms the products: numpy's vectorised complex
     # multiply may round differently from Python's scalar one.
-    full = compose_full_awv(np.stack([sub.weights for sub in subs]), range(layout.n_sub), shifts, layout)
+    full = compose_full_awv(*args, layout)
     assert np.array_equal(full.weights, shift_at * weight_at)
     assert not full.weights.flags.writeable
 
@@ -547,10 +597,12 @@ def test_origin_corrections_recover_full_aperture_steering():
     for _ in range(5):
         d = random_uv(rng, 0.8)
         sub = steering_weights((16, 16), layout.spacing_wl, d)
-        shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
-        composed = compose_full_awv(sub.weights[None], [0] * 4, shifts, layout)
+        composed = compose_full_awv(sub.weights[None], ((0, 1, 2, 3),), [d], [1.0], layout)
         want = steering_weights((32, 32), cfg.spacing_wavelengths, d)
         np.testing.assert_allclose(composed.weights, want.weights, atol=1e-12)
+        # The groups' own phasors, applied by hand, give the same grid.
+        by_hand = [origin_phase_correction(layout, k, d) * sub.weights for k in range(4)]
+        np.testing.assert_allclose(composed.weights, layout.scatter(np.stack(by_hand)), atol=1e-15)
 
 
 def test_reinforced_gain_equals_full_aperture():
@@ -558,8 +610,7 @@ def test_reinforced_gain_equals_full_aperture():
     layout = partition_interleaved(cfg, 4)
     d = UvPoint(0.25, 0.1)
     sub = steering_weights((16, 16), layout.spacing_wl, d)
-    shifts = [origin_phase_correction(layout, k, d) for k in range(4)]
-    composed = compose_full_awv(sub.weights[None], [0] * 4, shifts, layout)
+    composed = compose_full_awv(sub.weights[None], ((0, 1, 2, 3),), [d], [1.0], layout)
     c = coefficient_points(composed, 0.25, 0.1, cfg.spacing_wavelengths)[0]
     assert 20.0 * math.log10(abs(c)) == pytest.approx(20.0 * math.log10(1024.0), abs=1e-9)
 
@@ -570,9 +621,11 @@ def test_opposed_shifts_cancel_coefficients():
     layout = partition_interleaved(cfg, 4)
     d = UvPoint(0.15, -0.05)
     sub = steering_weights((16, 16), layout.spacing_wl, d)
-    base = [origin_phase_correction(layout, k, d) for k in range(4)]
+    beams = np.stack([sub.weights, sub.weights])
+    composed = compose_full_awv(beams, ((0, 3), (1, 2)), [d, d], [1.0, -1.0], layout)
     signs = [1.0, -1.0, -1.0, 1.0]
-    composed = compose_full_awv(sub.weights[None], [0] * 4, [s * b for s, b in zip(signs, base)], layout)
+    by_hand = [signs[k] * origin_phase_correction(layout, k, d) * sub.weights for k in range(4)]
+    np.testing.assert_allclose(composed.weights, layout.scatter(np.stack(by_hand)), atol=1e-15)
     toward = steering_weights(composed.shape, cfg.spacing_wavelengths, d)
     c = array_coefficient(composed.weights[None], toward.weights[None])[0]
     assert abs(c) < 1e-6

@@ -102,3 +102,12 @@ def test_cli_leaves_number_text_to_csvtext():
     }
     floats = sorted((name, spec) for name, spec in specs if spec[-1:] in tuple("eEfFgGn%"))
     assert floats == [("cmd_compare", ">10.1f"), ("cmd_compare", ">10.3f")]
+
+
+def test_planner_leaves_plane_wave_arithmetic_to_the_array_model():
+    # The planner decides (centres, overlaps, groups, shifts); array_model owns
+    # the plane-wave convention, the groups' origin phasors among it.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    for token in ("math.cos", "math.sin", "math.pi", "np.exp", "np.cos", "np.sin", ".origin("):
+        assert token not in sources["planner.py"], token
+    assert [name for name, text in sources.items() if ".origin(" in text] == ["array_model.py"]
